@@ -601,7 +601,11 @@ def presentation_Sigma(n: int, sphere_reduction: bool = True) -> Presentation:
 
 
 def _default_fuel() -> int:
-    return int(os.environ.get("QSPHERE_FUEL", DEFAULT_FUEL))
+    text = os.environ.get("QSPHERE_FUEL", str(DEFAULT_FUEL))
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"QSPHERE_FUEL must be an integer, got {text!r}") from None
 
 
 def normalize_steps(e: Element, p: Presentation, fuel: int | None = None) -> tuple[Element, int]:

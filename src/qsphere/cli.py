@@ -128,8 +128,7 @@ def cmd_rep_apply(args) -> int:
         state = tuple(int(part) for part in args.state.split(","))
     except ValueError as err:
         raise DomainError(f"bad state {args.state!r}; expected k1,..,kn") from err
-    numeric = RepConfig(config.n, config.q0, config.lam, config.K, "numeric",
-                        config.lam_exact)
+    numeric = config.numeric()
     out = apply_element(element, basis_state(numeric, state), numeric)
     if args.format == "json":
         payload = {"n": numeric.n, "K": numeric.K,

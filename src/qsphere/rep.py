@@ -15,23 +15,33 @@ one, and y_{n+1} is diagonal with unitary parameter lambda:
 Raising past the cutoff annihilates the vector, so defining relations are
 only guaranteed on interior indices (all components <= K - 2).
 
-Two amplitude modes are supported.  Numeric mode stores complex doubles.
-Exact-radical mode keeps amplitudes symbolic in q as a Gaussian-rational
-pair of radical sums, so identity checks yield exact zeros; it requires
-lambda to be an exact rational point on the unit circle.
+Every generator is therefore a weighted shift: with basis vectors ranked
+lexicographically (k_1 major), `shift_table` gives each source rank one
+target rank, a stride (K+1)^(n-i) away for y_i and y_i*, and one
+amplitude, zero where the image vanishes.  A word acts on many basis
+vectors at once by composing its tables right to left.  Each y_i is
+injective on its support, so the stacked matrices of y_1..y_k have
+orthogonal columns and their rank counts the vectors some y_i does not kill.
+
+Two amplitude modes are supported.  Numeric mode stores complex doubles,
+computed term by term as scalar complex arithmetic would.  Exact-radical mode
+keeps amplitudes symbolic in q as a Gaussian-rational pair of radical
+sums, so identity checks yield exact zeros; it requires lambda to be an
+exact rational point on the unit circle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .algebra import Element, Generator
-from .scalar import DomainError, LaurentPoly, RadicalSum, radical_canonicalize
+from .scalar import DomainError, LaurentPoly, RadicalScalar, RadicalSum, radical_canonicalize
 
 _EXACT_COMPLEX = {1 + 0j: (Fraction(1), Fraction(0)),
                   -1 + 0j: (Fraction(-1), Fraction(0)),
@@ -83,26 +93,27 @@ class RepConfig:
     def dim(self) -> int:
         return (self.K + 1) ** self.n
 
+    def numeric(self) -> RepConfig:
+        """The same truncation with numeric amplitudes."""
+        return self if self.mode == "numeric" else replace(self, mode="numeric")
+
 
 def fock_indices(c: RepConfig):
     """All truncated indices in rank order (lexicographic, k_1 major)."""
     return product(range(c.K + 1), repeat=c.n)
 
 
+def fock_array(c: RepConfig) -> np.ndarray:
+    """All truncated indices as a (dim, n) array; row r is the index of rank r."""
+    return np.indices((c.K + 1,) * c.n).reshape(c.n, -1).T
+
+
 def rank_of(k: tuple[int, ...], c: RepConfig) -> int:
-    rank = 0
-    for ki in k:
-        rank = rank * (c.K + 1) + ki
-    return rank
+    return int(np.ravel_multi_index(k, (c.K + 1,) * c.n))
 
 
 def index_of(rank: int, c: RepConfig) -> tuple[int, ...]:
-    base = c.K + 1
-    out = []
-    for _ in range(c.n):
-        rank, r = divmod(rank, base)
-        out.append(r)
-    return tuple(reversed(out))
+    return tuple(int(ki) for ki in np.unravel_index(rank, (c.K + 1,) * c.n))
 
 
 def is_interior(k: tuple[int, ...], c: RepConfig, margin: int = 2) -> bool:
@@ -126,16 +137,13 @@ class ExactAmp:
     def __add__(self, other: ExactAmp) -> ExactAmp:
         return ExactAmp(self.re + other.re, self.im + other.im)
 
-    def mul_radical(self, rs) -> ExactAmp:
-        return ExactAmp(self.re.mul_scalar(rs), self.im.mul_scalar(rs))
+    def times(self, re: RadicalScalar, im: RadicalScalar) -> ExactAmp:
+        """Multiply by the Gaussian scalar re + i*im."""
+        return ExactAmp(self.re.mul_scalar(re) - self.im.mul_scalar(im),
+                        self.re.mul_scalar(im) + self.im.mul_scalar(re))
 
     def mul_poly(self, poly: LaurentPoly) -> ExactAmp:
         return ExactAmp(self.re.mul_poly(poly), self.im.mul_poly(poly))
-
-    def mul_unit(self, re: Fraction, im: Fraction) -> ExactAmp:
-        new_re = self.re.mul_poly(LaurentPoly.const(re)) - self.im.mul_poly(LaurentPoly.const(im))
-        new_im = self.re.mul_poly(LaurentPoly.const(im)) + self.im.mul_poly(LaurentPoly.const(re))
-        return ExactAmp(new_re, new_im)
 
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
@@ -170,13 +178,8 @@ class StateVector:
 
     def max_abs(self, q0=None) -> float:
         """Largest amplitude magnitude; exact amplitudes are evaluated at q0."""
-        worst = 0.0
-        for amp in self.amplitudes.values():
-            if self.mode == "numeric":
-                worst = max(worst, abs(amp))
-            else:
-                worst = max(worst, abs(amp.evaluate(q0)))
-        return worst
+        amps = (a.evaluate(q0) if self.mode == "exact" else a for a in self.amplitudes.values())
+        return max(map(abs, amps), default=0.0)
 
 
 def basis_state(c: RepConfig, k: tuple[int, ...]) -> StateVector:
@@ -187,127 +190,155 @@ def basis_state(c: RepConfig, k: tuple[int, ...]) -> StateVector:
     return StateVector(c.mode, {k: amp})
 
 
-def _add_amp(store: dict, k: tuple[int, ...], amp, mode: str):
-    old = store.get(k)
-    new = amp if old is None else old + amp
-    dead = new.is_zero() if mode == "exact" else new == 0
-    if dead:
-        store.pop(k, None)
-    else:
-        store[k] = new
+# -- shift tables ---------------------------------------------------------------
 
 
-def _shift_exponent(i: int, k: tuple[int, ...]) -> int:
-    return sum(k[: i - 1])
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) on split parts, term by term as CPython's
+    complex product computes it (a float operand has imaginary part 0.0);
+    numpy's complex product may fuse multiply-adds and round differently."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
-def apply_generator(g: Generator, v: StateVector, c: RepConfig) -> StateVector:
-    """Act with one generator, extending the basis action linearly."""
+@lru_cache(maxsize=16)
+def shift_table(c: RepConfig, g: Generator):
+    """(target, amp) for one generator, cached for the last few configurations:
+    source rank r goes to target[r] with amplitude amp[r].  Numeric tables
+    are arrays, amp complex and zero where the image vanishes; exact tables
+    are lists, amp[r] a Gaussian factor (re, im) of RadicalScalars, or None
+    where the image vanishes."""
     if g.family != "y" or not 1 <= g.index <= c.n + 1:
         raise DomainError(f"generator {g} does not act in the rank-{c.n} representation")
-    n, K, q0 = c.n, c.K, c.q0
-    i = g.index
-    out: dict[tuple[int, ...], object] = {}
-    for k, amp in v.amplitudes.items():
-        if i == n + 1:
-            exp = sum(k) + k[-1]
-            if c.mode == "exact":
-                re, im = c.lam_exact
-                if g.starred:
-                    im = -im
-                new = amp.mul_poly(LaurentPoly.q(exp)).mul_unit(re, im)
-            else:
-                lam = c.lam.conjugate() if g.starred else c.lam
-                new = amp * (lam * float(q0 ** exp))
-            _add_amp(out, k, new, c.mode)
-            continue
+    n, K, q0, i = c.n, c.K, c.q0, g.index
+    ranks, k = np.arange(c.dim), fock_array(c)
+    if i == n + 1:
+        target, exps = ranks, k.sum(axis=1) + k[:, -1]
+    else:
+        step, ki, stride = (4 if i == n else 2), k[:, i - 1], (K + 1) ** (n - i)
+        alive, radicand = (ki < K, ki + 1) if g.starred else (ki > 0, ki)
+        target = np.where(alive, ranks + (stride if g.starred else -stride), ranks)
+        prefix = k[:, : i - 1].sum(axis=1)
 
-        step = 4 if i == n else 2
-        if g.starred:
-            ki = k[i - 1]
-            if ki == K:
-                continue
-            radicand_exp = step * (ki + 1)
-            target = k[: i - 1] + (ki + 1,) + k[i:]
+    if c.mode == "exact":
+        shared = {}  # one factor object per distinct amplitude keeps the cache small
+        if i == n + 1:
+            re, im = c.lam_exact[0], -c.lam_exact[1] if g.starred else c.lam_exact[1]
+            amp = [shared.setdefault(e, (RadicalScalar(LaurentPoly.q(e, re)),
+                                         RadicalScalar(LaurentPoly.q(e, im)))) for e in exps.tolist()]
         else:
-            ki = k[i - 1]
-            if ki == 0:
-                continue
-            radicand_exp = step * ki
-            target = k[: i - 1] + (ki - 1,) + k[i:]
-        prefix = _shift_exponent(i, k)
-        if c.mode == "exact":
-            new = amp.mul_radical(radical_canonicalize([radicand_exp]))
-            if prefix:
-                new = new.mul_poly(LaurentPoly.q(prefix))
-        else:
-            factor = float(q0 ** prefix) * math.sqrt(float(1 - q0 ** radicand_exp))
-            new = amp * factor
-        _add_amp(out, target, new, c.mode)
-    return StateVector(c.mode, out)
+            roots = [None] + [radical_canonicalize([step * s]) for s in range(1, K + 2)]
+            zero = RadicalScalar(LaurentPoly.zero())
+            amp = [shared.setdefault((s, p), (roots[s] * LaurentPoly.q(p), zero)) if live else None
+                   for live, s, p in zip(alive.tolist(), radicand.tolist(), prefix.tolist())]
+        return target.tolist(), amp
+
+    powers = np.array([float(q0 ** e) for e in range((n + 1) * K + 1)])
+    if i == n + 1:
+        lam = c.lam.conjugate() if g.starred else c.lam
+        re, im = _cmul(lam.real, lam.imag, powers[exps], 0.0)
+    else:
+        roots = np.array([math.sqrt(float(1 - q0 ** (step * s))) for s in range(K + 2)])
+        re, im = np.where(alive, powers[prefix] * roots[radicand], 0.0), 0.0
+    amp = np.empty(c.dim, dtype=complex)
+    amp.real, amp.imag = re, im
+    target.flags.writeable = amp.flags.writeable = False  # shared through the cache
+    return target, amp
+
+
+def _numeric_action(e: Element, src: np.ndarray, amps: np.ndarray, c: RepConfig, stride: int):
+    """Each word of e, times its coefficient, acting right to left on every
+    amps[j] |src[j]> at once.  Images are summed per key j * stride + target
+    rank in word order; as in exact mode, a sum that reaches zero drops its
+    key and the next term starts it afresh.  Returns sorted keys and sums."""
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
+    for word, coeff in e.items():
+        pos, rows, re, im = np.arange(len(src)), src, amps.real, amps.imag
+        for g in reversed(word.letters):
+            target, amp = shift_table(c, g)
+            re, im = _cmul(re, im, amp.real[rows], amp.imag[rows])
+            keep = np.flatnonzero((re != 0) | (im != 0))
+            pos, rows, re, im = pos[keep], target[rows[keep]], re[keep], im[keep]
+        parts.append((pos * stride + rows, *_cmul(re, im, float(coeff.evaluate(c.q0)), 0.0)))
+    keys, re, im = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(keys, kind="stable")
+    keys, re, im = keys[order], re[order], im[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    size = np.diff(first, append=len(keys))
+    acc_re, acc_im = re[first], im[first]
+    for j in range(1, int(size.max(initial=0))):
+        grp = np.flatnonzero(size > j)
+        at, old = first[grp] + j, (acc_re[grp] != 0) | (acc_im[grp] != 0)
+        acc_re[grp] = np.where(old, acc_re[grp] + re[at], re[at])
+        acc_im[grp] = np.where(old, acc_im[grp] + im[at], im[at])
+    live = (acc_re != 0) | (acc_im != 0)
+    values = np.empty(np.count_nonzero(live), dtype=complex)
+    values.real, values.imag = acc_re[live], acc_im[live]
+    return keys[first[live]], values
 
 
 def apply_element(e: Element, v: StateVector, c: RepConfig) -> StateVector:
     """Act with an element: words act right to left, coefficients are kept
     symbolic in exact mode and evaluated at q0 in numeric mode."""
-    total: dict[tuple[int, ...], object] = {}
+    if c.mode == "numeric":
+        src = np.array([rank_of(k, c) for k in v.amplitudes], dtype=np.int64)
+        amps = np.array(list(v.amplitudes.values()), dtype=complex)
+        rows, values = _numeric_action(e, src, amps, c, 0)
+        indices = map(tuple, fock_array(c)[rows].tolist())
+        return StateVector(c.mode, dict(zip(indices, values.tolist())))
+    total: dict[int, ExactAmp] = {}
     for word, coeff in e.items():
-        current = v
+        items = [(rank_of(k, c), amp) for k, amp in v.amplitudes.items()]
         for g in reversed(word.letters):
-            current = apply_generator(g, current, c)
-            if current.is_zero():
-                break
-        if current.is_zero():
-            continue
-        if c.mode == "exact":
-            for k, amp in current.amplitudes.items():
-                _add_amp(total, k, amp.mul_poly(coeff), c.mode)
-        else:
-            scale = float(coeff.evaluate(c.q0))
-            for k, amp in current.amplitudes.items():
-                _add_amp(total, k, amp * scale, c.mode)
-    return StateVector(c.mode, total)
+            target, amp = shift_table(c, g)
+            items = [(target[r], a.times(*amp[r])) for r, a in items if amp[r] is not None]
+        for r, a in items:
+            total[r] = total[r] + a.mul_poly(coeff) if r in total else a.mul_poly(coeff)
+            if total[r].is_zero():
+                del total[r]
+    return StateVector(c.mode, {index_of(r, c): amp for r, amp in total.items()})
+
+
+def apply_generator(g: Generator, v: StateVector, c: RepConfig) -> StateVector:
+    """Act with one generator, extending the basis action linearly."""
+    return apply_element(Element.of(g), v, c)
 
 
 @dataclass
 class SparseMatrix:
-    """Sparse complex matrix with entries sorted by (column, row)."""
+    """Sparse complex matrix as parallel arrays, sorted by (column, row)."""
 
     dim: int
-    entries: list[tuple[int, int, complex]]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for row, col, value in self.entries:
-            out[row, col] = value
+    @property
+    def entries(self) -> list[tuple[int, int, complex]]:
+        return list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
+
+    def to_dense(self, size: int | None = None) -> np.ndarray:
+        """The dense matrix, or its compression to the first `size` basis vectors."""
+        size = self.dim if size is None else size
+        keep = (self.rows < size) & (self.cols < size)
+        out = np.zeros((size, size), dtype=complex)
+        out[self.rows[keep], self.cols[keep]] = self.values[keep]
         return out
 
     def diagonal(self) -> list[complex]:
-        diag = [0j] * self.dim
-        for row, col, value in self.entries:
-            if row == col:
-                diag[row] = value
-        return diag
+        on = self.rows == self.cols
+        diag = np.zeros(self.dim, dtype=complex)
+        diag[self.rows[on]] = self.values[on]
+        return diag.tolist()
 
     def is_diagonal(self) -> bool:
-        return all(row == col for row, col, _ in self.entries)
+        return bool(np.all(self.rows == self.cols))
 
 
 def matrix(e: Element, c: RepConfig) -> SparseMatrix:
-    """Assemble the matrix of an element column by column (numeric)."""
-    numeric = c if c.mode == "numeric" else RepConfig(c.n, c.q0, c.lam, c.K, "numeric",
-                                                      c.lam_exact)
-    entries: list[tuple[int, int, complex]] = []
-    for col, k in enumerate(fock_indices(numeric)):
-        image = apply_element(e, basis_state(numeric, k), numeric)
-        for target, amp in image.items():
-            entries.append((rank_of(target, numeric), col, amp))
-    entries.sort(key=lambda t: (t[1], t[0]))
-    return SparseMatrix(numeric.dim, entries)
-
-
-def generator_matrix(g: Generator, c: RepConfig) -> SparseMatrix:
-    return matrix(Element.of(g), c)
+    """Assemble the numeric matrix of an element, every column at once."""
+    cn = c.numeric()
+    keys, values = _numeric_action(e, np.arange(cn.dim), np.ones(cn.dim, dtype=complex), cn, cn.dim)
+    return SparseMatrix(cn.dim, keys % cn.dim, keys // cn.dim, values)
 
 
 def yn1_spectrum(c: RepConfig) -> list[complex]:

@@ -418,10 +418,6 @@ class RadicalScalar:
             out = out * _radical_atom(d)
         return out
 
-    def evaluate_squared(self, q0) -> Fraction:
-        """Exact rational value of the square at q0."""
-        return self.square().evaluate(q0)
-
     def evaluate(self, q0) -> float:
         """Numeric value at rational q0 in (0, 1), nonnegative branch."""
         radicand = self.root_poly().evaluate(q0)

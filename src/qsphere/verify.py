@@ -2,19 +2,21 @@
 
 Symbolic checks normalize a relation (or a derived power identity) and
 demand the zero element.  Representation checks apply relations to
-truncated basis vectors, compare operator blocks, compute joint kernels,
+truncated basis vectors, compare operator blocks, count joint kernels,
 and rebuild the orthonormal basis from the lowest-weight vector.  Each
 check returns a CheckReport with the worst residual and the failing
 witnesses, serializable as JSON.
 
-A symbolic zero claimed through signature-wise radical arithmetic is
-additionally evaluated numerically at three rational points of (0, 1);
-signature-wise equality presumes independence of the radical atoms over
-the Laurent field, and the numeric guard keeps that assumption honest.
+Exact-mode zeros are exact: square roots of distinct square-free products
+of pairwise non-associate irreducibles, such as the radical atoms 1 - q
+and Phi_d, are linearly independent over Q(q), so a radical sum is zero
+exactly when each of its coefficients is.  A nonzero residual is sized
+numerically at three rational points of (0, 1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,10 +35,9 @@ from .rep import (
     RepConfig,
     apply_element,
     basis_state,
-    fock_indices,
-    is_interior,
+    fock_array,
     matrix,
-    rank_of,
+    shift_table,
 )
 from .scalar import DomainError, LaurentPoly, qpochhammer
 
@@ -44,7 +45,6 @@ ONE = LaurentPoly.one()
 Q = LaurentPoly.q
 
 GUARD_POINTS = (Fraction(1, 3), Fraction(1, 2), Fraction(3, 5))
-KERNEL_SV_TOL = 1e-10
 DEFINING_TOL = 1e-12
 UNITARY_TOL = 1e-8
 NUMERIC_TOL = 1e-12
@@ -167,38 +167,17 @@ def check_lemma_aux(p: Presentation, m_max: int) -> CheckReport:
 # -- representation checks ----------------------------------------------------
 
 
-def _numeric_config(c: RepConfig) -> RepConfig:
-    if c.mode == "numeric":
-        return c
-    return RepConfig(c.n, c.q0, c.lam, c.K, "numeric", c.lam_exact)
-
-
-def _generator_dense(c: RepConfig, i: int) -> np.ndarray:
-    return matrix(Element.of(y(i)), _numeric_config(c)).to_dense()
-
-
 def joint_kernel_dims(c: RepConfig) -> list[int]:
-    """Dimensions of the nested joint kernels of y_1, .., y_k for k = 1..n,
-    detected through singular values of the stacked matrices."""
-    mats = [_generator_dense(c, i) for i in range(1, c.n + 1)]
+    """Dimensions of the nested joint kernels of y_1, .., y_k for k = 1..n.
+    The stacked matrix of y_1..y_k has orthogonal columns (see qsphere.rep),
+    so its nullity is the number of basis vectors every y_i, i <= k, kills."""
+    cn = c.numeric()
+    killed = np.ones(cn.dim, dtype=bool)
     dims = []
-    for k in range(1, c.n + 1):
-        stacked = np.vstack(mats[:k])
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        dims.append(int(np.sum(sv < KERNEL_SV_TOL)) + max(0, c.dim - len(sv)))
+    for i in range(1, cn.n + 1):
+        killed &= shift_table(cn, y(i))[1] == 0
+        dims.append(int(np.count_nonzero(killed)))
     return dims
-
-
-def _joint_kernel_basis(c: RepConfig, k: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the joint kernel of y_1..y_k; the
-    whole space for k = 0."""
-    if k == 0:
-        return np.eye(c.dim, dtype=complex)
-    stacked = np.vstack([_generator_dense(c, i) for i in range(1, k + 1)])
-    _, sv, vh = np.linalg.svd(stacked)
-    null_mask = np.ones(c.dim, dtype=bool)
-    null_mask[: len(sv)] = sv < KERNEL_SV_TOL
-    return vh.conj().T[:, null_mask]
 
 
 def check_kernel_structure(c: RepConfig) -> CheckReport:
@@ -222,52 +201,39 @@ def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
         mu A = U A U*  with  U = (BB*)^(-1/2) B,  BB* = 1 - mu A
 
     with mu = q0^2 for k < n and q0^4 for k = n, compared on interior
-    rows and columns."""
+    rows and columns.  The joint kernel is the coordinate subspace where
+    k_1..k_{k-1} vanish, the first (K+1)^(n-k+1) ranks: A, B are leading blocks."""
     if not 1 <= k <= c.n:
         raise DomainError("k must lie in 1..n")
     if c.K < 2:
         raise DomainError("the operator identities need K >= 2")
-    cn = _numeric_config(c)
+    cn = c.numeric()
     mu = float(cn.q0 ** (2 if k < cn.n else 4))
+    size = (cn.K + 1) ** (cn.n - k + 1)
 
-    a_elem = Element.zero()
-    for i in range(k + 1, cn.n + 2):
-        a_elem = a_elem + Element.of(y(i, True), y(i))
-    a_full = matrix(a_elem, cn).to_dense()
-    b_full = _generator_dense(cn, k)
-
-    basis = _joint_kernel_basis(cn, k - 1)
-    a_h = basis.conj().T @ a_full @ basis
-    b_h = basis.conj().T @ b_full @ basis
+    a_elem = sum((Element.of(y(i, True), y(i)) for i in range(k + 1, cn.n + 2)), Element.zero())
+    a_h = matrix(a_elem, cn).to_dense(size)
+    b_h = matrix(Element.of(y(k)), cn).to_dense(size)
     bs_h = b_h.conj().T
-    eye = np.eye(basis.shape[1], dtype=complex)
-
-    interior = np.zeros(cn.dim, dtype=bool)
-    for idx in fock_indices(cn):
-        interior[rank_of(idx, cn)] = is_interior(idx, cn)
+    eye = np.eye(size, dtype=complex)
+    inside = np.all(fock_array(cn)[:size] <= cn.K - 2, axis=1)
+    interior = np.ix_(inside, inside)
 
     def masked_max(residual_h: np.ndarray) -> float:
-        lifted = basis @ residual_h @ basis.conj().T
-        block = lifted[np.ix_(interior, interior)]
-        return float(np.max(np.abs(block))) if block.size else 0.0
+        return float(np.max(np.abs(residual_h[interior]), initial=0.0))
 
     params = dict(_rep_params(c), k=k, mu=mu)
     report = CheckReport("lemma_main", params, tolerance=UNITARY_TOL)
 
-    commutator = b_h @ bs_h - bs_h @ b_h - (1.0 - mu) * a_h
-    r1 = masked_max(commutator)
-    sphere_defect = a_h + bs_h @ b_h - eye
-    r2 = masked_max(sphere_defect)
+    r1 = masked_max(b_h @ bs_h - bs_h @ b_h - (1.0 - mu) * a_h)
+    r2 = masked_max(a_h + bs_h @ b_h - eye)
     for name, residual in (("commutator", r1), ("sphere", r2)):
         if residual > DEFINING_TOL:
             report.witnesses.append({"identity": name, "residual": residual})
 
     # BB* equals 1 - mu A, which is positive definite wherever the
-    # truncation is faithful; the product is lifted back to the basis
-    # indices of the kernel subspace and checked on the interior block.
-    h_mask = np.abs(np.einsum("ij,ij->i", basis, basis.conj()).real) > 0.5
-    both = interior & h_mask
-    product = (basis @ (b_h @ bs_h) @ basis.conj().T)[np.ix_(both, both)]
+    # truncation is faithful; it is checked on the interior block.
+    product = (b_h @ bs_h)[interior]
     if product.size:
         if float(np.min(np.linalg.eigvalsh((product + product.conj().T) / 2))) <= 0.0:
             raise ConfigurationError("BB* is not positive definite on the restricted "
@@ -276,8 +242,7 @@ def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
     evals, evecs = np.linalg.eigh((s_op + s_op.conj().T) / 2)
     if float(evals.min()) <= 0.0:
         raise ConfigurationError("1 - mu A is not positive definite; increase K")
-    inv_sqrt = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
-    u_op = inv_sqrt @ b_h
+    u_op = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T @ b_h
     r3 = masked_max(mu * a_h - u_op @ a_h @ u_op.conj().T)
 
     report.max_residual = max(r1, r2, r3)
@@ -287,36 +252,40 @@ def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
 def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
     """Rebuild |k> from the vacuum by raising and normalizing with
     q-shifted factorials; the Gram matrix must be the identity and every
-    constructed vector must coincide with its basis vector."""
-    cn = _numeric_config(c)
-    grid = [k for k in fock_indices(cn) if all(ki <= cn.K - 1 for ki in k)]
-    vacuum = tuple(0 for _ in range(cn.n))
-    vectors = []
-    report = CheckReport("lowest_weight_basis", _rep_params(c), tolerance=NUMERIC_TOL)
-    for k in grid:
-        word = Element.one()
-        norm = Fraction(1)
-        for i, ki in enumerate(k, start=1):
-            step = 4 if i == cn.n else 2
-            word = word * Element.of(y(i, True)) ** ki
-            norm *= qpochhammer(Q(step), Q(step), ki).evaluate(cn.q0)
-        raised = apply_element(word, basis_state(cn, vacuum), cn)
-        dense = np.zeros(cn.dim, dtype=complex)
-        for idx, amp in raised.amplitudes.items():
-            dense[rank_of(idx, cn)] = amp
-        dense /= np.sqrt(float(norm))
-        vectors.append(dense)
+    constructed vector must coincide with its basis vector.
 
-        unit = np.zeros(cn.dim, dtype=complex)
-        unit[rank_of(k, cn)] = 1.0
-        defect = float(np.max(np.abs(dense - unit)))
+    All grid indices are raised together: (y_i*)^(k_i) is applied one
+    factor at a time, i = n down to 1, through the shift table of y_i*."""
+    cn = c.numeric()
+    n, K = cn.n, cn.K
+    indices = fock_array(cn)
+    grid = np.flatnonzero(np.all(indices <= K - 1, axis=1))
+    report = CheckReport("lowest_weight_basis", _rep_params(c), tolerance=NUMERIC_TOL)
+
+    rows = np.arange(len(grid))
+    rank, amp = np.zeros(len(grid), dtype=np.int64), np.ones(len(grid), dtype=complex)
+    for i in range(n, 0, -1):
+        target, factor = shift_table(cn, y(i, True))
+        for power in range(K - 1):
+            more = indices[grid, i - 1] > power
+            amp[more] *= factor[rank[more]]
+            rank[more] = target[rank[more]]
+
+    pochhammer = {(step, ki): qpochhammer(Q(step), Q(step), ki).evaluate(cn.q0)
+                  for step in (2, 4) for ki in range(K)}
+    norms = [float(math.prod(pochhammer[4 if i == n else 2, ki] for i, ki in enumerate(k, 1)))
+             for k in indices[grid].tolist()]
+    vectors = np.zeros((len(grid), cn.dim), dtype=complex)
+    vectors[rows, rank] = amp / np.sqrt(norms)
+    units = np.arange(cn.dim) == grid[:, None]
+    defects = np.max(np.abs(vectors - units), axis=1, initial=0.0)
+    for k, defect in zip(indices[grid].tolist(), defects.tolist()):
         report.max_residual = max(report.max_residual, defect)
         if defect > NUMERIC_TOL:
-            report.witnesses.append({"k": list(k), "basis_defect": defect})
+            report.witnesses.append({"k": k, "basis_defect": defect})
 
-    stack = np.array(vectors)
-    gram = stack.conj() @ stack.T
-    gram_defect = float(np.max(np.abs(gram - np.eye(len(grid)))))
+    gram = vectors.conj() @ vectors.T
+    gram_defect = float(np.max(np.abs(gram - np.eye(len(grid))), initial=0.0))
     report.max_residual = max(report.max_residual, gram_defect)
     if gram_defect > NUMERIC_TOL:
         report.witnesses.append({"gram_defect": gram_defect})
@@ -326,7 +295,8 @@ def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
 def check_relations_in_rep(c: RepConfig, p: Presentation) -> CheckReport:
     """Apply every raw defining relation to every interior basis vector
     (the sphere relation to every vector); residuals must vanish exactly
-    in exact mode and within 1e-12 in numeric mode."""
+    in exact mode and within 1e-12 in numeric mode, where each relation's
+    matrix gives all columns at once."""
     if p.kind != "Sigma" or p.n != c.n:
         raise DomainError("relations are checked in the matching Sigma presentation")
     if p.sphere_reduction:
@@ -335,25 +305,25 @@ def check_relations_in_rep(c: RepConfig, p: Presentation) -> CheckReport:
         raise DomainError("interior checks need K >= 2")
     tolerance = 0.0 if c.mode == "exact" else NUMERIC_TOL
     report = CheckReport("relations_in_rep", _rep_params(c), tolerance=tolerance)
+    indices = fock_array(c)
+    interior = np.flatnonzero(np.all(indices <= c.K - 2, axis=1))
     for name, rel in relations_Sigma(c.n):
-        sphere = name.startswith("sphere")
-        for k in fock_indices(c):
-            if not sphere and not is_interior(k, c):
-                continue
-            out = apply_element(rel, basis_state(c, k), c)
-            if c.mode == "exact":
-                if out.is_zero():
-                    continue
-                residual = max(out.max_abs(q0) for q0 in GUARD_POINTS)
-                report.max_residual = max(report.max_residual, residual)
-                report.witnesses.append({"relation": name, "k": list(k),
+        ranks = (np.arange(c.dim) if name.startswith("sphere") else interior).tolist()
+        if c.mode == "numeric":
+            m = matrix(rel, c)
+            worst = np.zeros(c.dim)
+            np.maximum.at(worst, m.cols, np.hypot(m.values.real, m.values.imag))
+            found = zip(ranks, worst[ranks].tolist())
+        else:
+            outs = ((r, apply_element(rel, basis_state(c, indices[r].tolist()), c))
+                    for r in ranks)
+            found = [(r, max(out.max_abs(q0) for q0 in GUARD_POINTS))
+                     for r, out in outs if not out.is_zero()]
+        for rank, residual in found:
+            report.max_residual = max(report.max_residual, residual)
+            if residual > tolerance or c.mode == "exact":
+                report.witnesses.append({"relation": name, "k": indices[rank].tolist(),
                                          "residual": residual})
-            else:
-                residual = out.max_abs()
-                report.max_residual = max(report.max_residual, residual)
-                if residual > tolerance:
-                    report.witnesses.append({"relation": name, "k": list(k),
-                                             "residual": residual})
     return report
 
 

@@ -153,6 +153,14 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("fuel", ["abc", "1.5", ""])
+    def test_bad_fuel_variable_exits_2(self, monkeypatch, fuel):
+        monkeypatch.setenv("QSPHERE_FUEL", fuel)
+        code, out, err = run_cli(["normalize", "--n", "1", "y1 y1'"])
+        assert code == 2
+        assert out == ""
+        assert "QSPHERE_FUEL" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [

@@ -14,6 +14,7 @@ from qsphere.algebra import Element, Word, normalize, presentation_Sigma, y
 from qsphere.expr import parse
 from qsphere.rep import (
     RepConfig,
+    SparseMatrix,
     apply_element,
     apply_generator,
     basis_state,
@@ -297,3 +298,105 @@ class TestJson:
         m = matrix(parse("y1' + y2", presentation_Sigma(2)), c)
         order = [(col, row) for row, col, _ in m.entries]
         assert order == sorted(order)
+
+
+# -- the per-vector scalar path, kept as the reference for the shift tables ----
+
+
+def _reference_apply(e, k, c):
+    """e|k> by one dict per basis vector and scalar complex arithmetic."""
+    total = {}
+    for word, coeff in e.items():
+        current = {k: complex(1.0)}
+        for g in reversed(word.letters):
+            out = {}
+            for kk, amp in current.items():
+                i = g.index
+                if i == c.n + 1:
+                    lam = c.lam.conjugate() if g.starred else c.lam
+                    new, target = amp * (lam * float(c.q0 ** (sum(kk) + kk[-1]))), kk
+                else:
+                    step, ki = (4 if i == c.n else 2), kk[i - 1]
+                    if (ki == c.K) if g.starred else (ki == 0):
+                        continue
+                    radicand = step * (ki + 1) if g.starred else step * ki
+                    target = kk[: i - 1] + (ki + 1 if g.starred else ki - 1,) + kk[i:]
+                    new = amp * (float(c.q0 ** sum(kk[: i - 1]))
+                                 * math.sqrt(float(1 - c.q0 ** radicand)))
+                if new != 0:
+                    out[target] = new
+            current = out
+        scale = float(coeff.evaluate(c.q0))
+        for kk, amp in current.items():
+            old = total.get(kk)
+            new = amp * scale if old is None else old + amp * scale
+            if new == 0:
+                total.pop(kk, None)
+            else:
+                total[kk] = new
+    return total
+
+
+def _reference_matrix(e, c):
+    entries = [(rank_of(kk, c), col, amp)
+               for col, k in enumerate(fock_indices(c))
+               for kk, amp in sorted(_reference_apply(e, k, c).items())]
+    rows, cols, values = zip(*entries) if entries else ((), (), ())
+    return SparseMatrix(c.dim, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                        np.array(values, dtype=complex))
+
+
+def _random_element(rng, n):
+    gens = [y(i, s) for i in range(1, n + 2) for s in (False, True)]
+    coeffs = (ONE, -ONE, ONE - Q(1) * 2, Q(2), Q(-1) + Q(1), Q(0) * Fraction(1, 3))
+    words = [Word(tuple(rng.choice(gens) for _ in range(rng.randint(0, 3))))
+             for _ in range(rng.randint(1, 4))]
+    e = Element.zero()
+    for _ in range(rng.randint(1, 6)):
+        e = e + Element({rng.choice(words): rng.choice(coeffs)})
+    return e
+
+
+class TestAgainstReference:
+    """The table-driven numeric action must reproduce the per-vector scalar
+    path bit for bit, signed zeros included."""
+
+    LAMBDAS = (1, -1, 1j, -1j, complex(math.cos(0.3), math.sin(0.3)))
+
+    def test_matrix_and_json_bit_identical(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            c = cfg(n=n, K=rng.randint(0, 4 if n < 3 else 3), lam=rng.choice(self.LAMBDAS),
+                    q0=rng.choice((HALF, Fraction(1, 3), Fraction(3, 5), Fraction(2, 7))))
+            e = _random_element(rng, n)
+            got, want = matrix(e, c), _reference_matrix(e, c)
+            assert [(r, col, repr(v)) for r, col, v in got.entries] == \
+                   [(r, col, repr(v)) for r, col, v in want.entries]
+            assert matrix_json(got, c) == matrix_json(want, c)
+
+    def test_apply_element_bit_identical(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            c = cfg(n=n, K=3, lam=rng.choice(self.LAMBDAS))
+            e = _random_element(rng, n)
+            for k in fock_indices(c):
+                got = apply_element(e, basis_state(c, k), c).amplitudes
+                assert {kk: repr(v) for kk, v in got.items()} == \
+                       {kk: repr(v) for kk, v in _reference_apply(e, k, c).items()}
+
+    def test_cancelling_sum(self):
+        c = cfg(n=2, K=3, lam=1j)
+        e = parse("y1 y2 - y1 y2 + y3'", presentation_Sigma(2))
+        assert matrix(e, c).entries == _reference_matrix(e, c).entries
+        assert matrix(e, c).is_diagonal()
+
+    def test_dropped_entry_restarts_its_sum(self):
+        # At |0> with lambda = -1, y2' and y2'y2 cancel exactly; the sum is
+        # dropped, so -y2 starts a new entry and keeps its -0 imaginary part.
+        c = cfg(n=1, K=1, lam=-1)
+        e = parse("y2' + y2' y2 - y2", presentation_Sigma(1))
+        text = matrix_json(matrix(e, c), c)
+        assert text == matrix_json(_reference_matrix(e, c), c)
+        assert '"entries":[[0,0,1,-0]' in text

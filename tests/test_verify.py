@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qsphere.algebra import presentation_S, presentation_Sigma
-from qsphere.rep import RepConfig
+from qsphere.algebra import Element, presentation_S, presentation_Sigma, y
+from qsphere.rep import RepConfig, fock_indices, is_interior, matrix
 from qsphere.scalar import DomainError
 from qsphere.verify import (
     check_kernel_structure,
@@ -123,6 +124,10 @@ class TestLowestWeightBasis:
         report = check_lowest_weight_basis(cfg(n=2, K=4))
         assert report.passed, report.witnesses[:2]
 
+    def test_empty_grid_at_cutoff_zero(self):
+        report = check_lowest_weight_basis(cfg(n=2, K=0))
+        assert report.passed and report.max_residual == 0.0
+
 
 class TestRelationsInRep:
     def test_numeric_grid_point(self):
@@ -162,3 +167,69 @@ class TestSuite:
     def test_named_suite_needs_rep_for_s(self):
         with pytest.raises(DomainError):
             run_suite("kernel", presentation_S(1), None)
+
+
+# -- the singular-value paths, kept as references for the counting checks -------
+
+
+def _dense(e, c):
+    return matrix(e, c).to_dense()
+
+
+def _svd_kernel_basis(c, k):
+    """Orthonormal basis (columns) of the joint kernel of y_1..y_k by SVD."""
+    if k == 0:
+        return np.eye(c.dim, dtype=complex)
+    stacked = np.vstack([_dense(Element.of(y(i)), c) for i in range(1, k + 1)])
+    _, sv, vh = np.linalg.svd(stacked)
+    null = np.ones(c.dim, dtype=bool)
+    null[: len(sv)] = sv < 1e-10
+    return vh.conj().T[:, null]
+
+
+def _svd_lemma_main_residual(c, k):
+    """The lemma_main residual computed in an SVD basis of the joint kernel
+    and lifted back to the full space."""
+    mu = float(c.q0 ** (2 if k < c.n else 4))
+    a_elem = Element.zero()
+    for i in range(k + 1, c.n + 2):
+        a_elem = a_elem + Element.of(y(i, True), y(i))
+    basis = _svd_kernel_basis(c, k - 1)
+    a_h = basis.conj().T @ _dense(a_elem, c) @ basis
+    b_h = basis.conj().T @ _dense(Element.of(y(k)), c) @ basis
+    bs_h = b_h.conj().T
+    eye = np.eye(basis.shape[1])
+    interior = np.array([is_interior(idx, c) for idx in fock_indices(c)])
+
+    def masked_max(r):
+        block = (basis @ r @ basis.conj().T)[np.ix_(interior, interior)]
+        return float(np.max(np.abs(block))) if block.size else 0.0
+
+    evals, evecs = np.linalg.eigh(eye - mu * a_h)
+    u_op = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T @ b_h
+    return max(masked_max(b_h @ bs_h - bs_h @ b_h - (1.0 - mu) * a_h),
+               masked_max(a_h + bs_h @ b_h - eye),
+               masked_max(mu * a_h - u_op @ a_h @ u_op.conj().T))
+
+
+class TestAgainstSingularValues:
+    def test_kernel_count_equals_svd_nullity(self):
+        for n in (1, 2, 3):
+            for K in range(6):
+                c = cfg(n=n, K=K, q0=Fraction(1, 3) if K % 2 else Fraction(3, 5))
+                want = []
+                for k in range(1, n + 1):
+                    stacked = np.vstack([_dense(Element.of(y(i)), c) for i in range(1, k + 1)])
+                    sv = np.linalg.svd(stacked, compute_uv=False)
+                    want.append(int(np.sum(sv < 1e-10)) + max(0, c.dim - len(sv)))
+                assert joint_kernel_dims(c) == want, (n, K)
+
+    def test_lemma_main_residuals_match_svd_basis(self):
+        for n in (1, 2, 3):
+            for K in (2, 3, 5) if n < 3 else (2, 3):
+                for q0, lam in ((HALF, 1), (Fraction(3, 5), 1j), (Fraction(1, 3), -1)):
+                    c = cfg(n=n, K=K, q0=q0, lam=lam)
+                    for k in range(1, n + 1):
+                        report = check_lemma_main(c, k)
+                        assert report.passed
+                        assert abs(report.max_residual - _svd_lemma_main_residual(c, k)) < 1e-12
