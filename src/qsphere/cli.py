@@ -9,6 +9,7 @@ passed), 1 on a failed verification, 2 on syntax or domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -34,6 +35,8 @@ def _parse_q(text: str) -> Fraction:
     parts = text.split("/")
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise DomainError(f"q must be an exact rational like 1/2, got {text!r}")
+    if int(parts[1]) == 0:
+        raise DomainError(f"q has a zero denominator: {text!r}")
     return Fraction(int(parts[0]), int(parts[1]))
 
 
@@ -154,7 +157,9 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="qsphere",
         description="Normalize, verify and represent elements of the two "

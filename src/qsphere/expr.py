@@ -10,7 +10,9 @@ Grammar (whitespace insignificant between tokens):
 
 Juxtaposition and '*' both denote the product; the postfix apostrophe is
 the adjoint and binds tighter than the product.  The leading minus is
-accepted so that every printed canonical form parses back.
+accepted so that every printed canonical form parses back.  Parentheses
+nest at most MAX_NESTING deep, so the recursive descent stays far inside
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from fractions import Fraction
 
 from .algebra import Element, Generator, Presentation
 from .scalar import LaurentPoly
+
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,7 @@ class _Parser:
         self.p = presentation
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -157,8 +162,12 @@ class _Parser:
         if tok.kind == "gen":
             return Element.of(self._resolve_generator(tok))
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok.span)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.span)
 

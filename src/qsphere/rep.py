@@ -43,6 +43,16 @@ import numpy as np
 from .algebra import Element, Generator
 from .scalar import DomainError, LaurentPoly, RadicalScalar, RadicalSum, radical_canonicalize
 
+# Largest truncation (K+1)^n accepted.  Bytes per basis vector in numeric
+# mode, from tracemalloc peaks:
+#   fock_array                 8 n B, at most 160 B (n <= 20 once K >= 1)
+#   16 cached shift tables     16 x (8 B target + 16 B amplitude) = 384 B
+#   one matrix() call          350 B at n = 2, 510 B at n = 4, 1.0 KB at
+#                              n = 10, 1.2 KB at n = 16 (sphere relation)
+# so under 160 + 384 + 1500 B ~ 2 KiB per vector, and 2^20 vectors keep a
+# run within 2 GiB.
+MAX_DIM = 2**20
+
 _EXACT_COMPLEX = {1 + 0j: (Fraction(1), Fraction(0)),
                   -1 + 0j: (Fraction(-1), Fraction(0)),
                   1j: (Fraction(0), Fraction(1)),
@@ -66,6 +76,9 @@ class RepConfig:
             raise DomainError("n must be >= 1")
         if self.K < 0:
             raise DomainError("cutoff K must be >= 0")
+        if (self.K + 1) ** self.n > MAX_DIM:
+            raise DomainError(f"(K+1)^n = {self.K + 1}^{self.n} basis vectors exceed "
+                              f"the limit of {MAX_DIM}")
         q0 = Fraction(self.q0)
         if not 0 < q0 < 1:
             raise DomainError(f"q0 = {self.q0} is outside (0, 1)")
@@ -315,14 +328,6 @@ class SparseMatrix:
     @property
     def entries(self) -> list[tuple[int, int, complex]]:
         return list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
-
-    def to_dense(self, size: int | None = None) -> np.ndarray:
-        """The dense matrix, or its compression to the first `size` basis vectors."""
-        size = self.dim if size is None else size
-        keep = (self.rows < size) & (self.cols < size)
-        out = np.zeros((size, size), dtype=complex)
-        out[self.rows[keep], self.cols[keep]] = self.values[keep]
-        return out
 
     def diagonal(self) -> list[complex]:
         on = self.rows == self.cols

@@ -202,7 +202,12 @@ def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
 
     with mu = q0^2 for k < n and q0^4 for k = n, compared on interior
     rows and columns.  The joint kernel is the coordinate subspace where
-    k_1..k_{k-1} vanish, the first (K+1)^(n-k+1) ranks: A, B are leading blocks."""
+    k_1..k_{k-1} vanish, the first (K+1)^(n-k+1) ranks: A, B are leading blocks.
+    There A is diagonal and B an injective weighted shift, so BB*, B*B and
+    U A U* are diagonal and each identity compares two vectors.  A witness
+    names the first rank that breaks this reduction: a column of A with an
+    off-diagonal entry, a live source of B mapped out of the block, or a
+    target that B hits twice."""
     if not 1 <= k <= c.n:
         raise DomainError("k must lie in 1..n")
     if c.K < 2:
@@ -210,41 +215,43 @@ def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
     cn = c.numeric()
     mu = float(cn.q0 ** (2 if k < cn.n else 4))
     size = (cn.K + 1) ** (cn.n - k + 1)
+    report = CheckReport("lemma_main", dict(_rep_params(c), k=k, mu=mu), tolerance=UNITARY_TOL)
 
     a_elem = sum((Element.of(y(i, True), y(i)) for i in range(k + 1, cn.n + 2)), Element.zero())
-    a_h = matrix(a_elem, cn).to_dense(size)
-    b_h = matrix(Element.of(y(k)), cn).to_dense(size)
-    bs_h = b_h.conj().T
-    eye = np.eye(size, dtype=complex)
+    a_mat = matrix(a_elem, cn)
+    in_block = (a_mat.rows < size) & (a_mat.cols < size)
+    target, amp = shift_table(cn, y(k))
+    src = np.flatnonzero(amp[:size] != 0)
+    tgt = target[src]
+    broken = {"A_diagonal": a_mat.cols[in_block & (a_mat.rows != a_mat.cols)],
+              "B_in_block": src[tgt >= size],
+              "B_injective": np.flatnonzero(np.bincount(tgt) > 1)}
+    report.witnesses = [{"reduction": name, "rank": int(ranks[0])}
+                        for name, ranks in broken.items() if ranks.size]
+    if report.witnesses:
+        return report
+
+    a = np.zeros(size, dtype=complex)
+    a[a_mat.rows[in_block]] = a_mat.values[in_block]
+    b2 = np.abs(amp[src]) ** 2
+    bsb, bbs, uau = np.zeros(size), np.zeros(size), np.zeros(size, dtype=complex)
+    bsb[src], bbs[tgt] = b2, b2
     inside = np.all(fock_array(cn)[:size] <= cn.K - 2, axis=1)
-    interior = np.ix_(inside, inside)
-
-    def masked_max(residual_h: np.ndarray) -> float:
-        return float(np.max(np.abs(residual_h[interior]), initial=0.0))
-
-    params = dict(_rep_params(c), k=k, mu=mu)
-    report = CheckReport("lemma_main", params, tolerance=UNITARY_TOL)
-
-    r1 = masked_max(b_h @ bs_h - bs_h @ b_h - (1.0 - mu) * a_h)
-    r2 = masked_max(a_h + bs_h @ b_h - eye)
-    for name, residual in (("commutator", r1), ("sphere", r2)):
-        if residual > DEFINING_TOL:
-            report.witnesses.append({"identity": name, "residual": residual})
 
     # BB* equals 1 - mu A, which is positive definite wherever the
     # truncation is faithful; it is checked on the interior block.
-    product = (b_h @ bs_h)[interior]
-    if product.size:
-        if float(np.min(np.linalg.eigvalsh((product + product.conj().T) / 2))) <= 0.0:
-            raise ConfigurationError("BB* is not positive definite on the restricted "
-                                     "interior; increase the cutoff K")
-    s_op = eye - mu * a_h
-    evals, evecs = np.linalg.eigh((s_op + s_op.conj().T) / 2)
-    if float(evals.min()) <= 0.0:
+    if float(np.min(bbs[inside], initial=np.inf)) <= 0.0:
+        raise ConfigurationError("BB* is not positive definite on the restricted "
+                                 "interior; increase the cutoff K")
+    s_op = 1.0 - mu * a.real
+    if float(s_op.min()) <= 0.0:
         raise ConfigurationError("1 - mu A is not positive definite; increase K")
-    u_op = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T @ b_h
-    r3 = masked_max(mu * a_h - u_op @ a_h @ u_op.conj().T)
-
+    uau[tgt] = b2 * a[src] / s_op[tgt]
+    r1, r2, r3 = (float(np.max(np.abs(residual[inside]), initial=0.0))
+                  for residual in (bbs - bsb - (1.0 - mu) * a, a + bsb - 1.0, mu * a - uau))
+    for name, residual in (("commutator", r1), ("sphere", r2)):
+        if residual > DEFINING_TOL:
+            report.witnesses.append({"identity": name, "residual": residual})
     report.max_residual = max(r1, r2, r3)
     return report
 
@@ -255,14 +262,15 @@ def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
     constructed vector must coincide with its basis vector.
 
     All grid indices are raised together: (y_i*)^(k_i) is applied one
-    factor at a time, i = n down to 1, through the shift table of y_i*."""
+    factor at a time, i = n down to 1, through the shift table of y_i*.
+    Each result is a multiple v |r> of one basis vector, so the Gram matrix
+    holds |v|^2 on its diagonal and conj(v) v' between vectors sharing r."""
     cn = c.numeric()
     n, K = cn.n, cn.K
     indices = fock_array(cn)
     grid = np.flatnonzero(np.all(indices <= K - 1, axis=1))
     report = CheckReport("lowest_weight_basis", _rep_params(c), tolerance=NUMERIC_TOL)
 
-    rows = np.arange(len(grid))
     rank, amp = np.zeros(len(grid), dtype=np.int64), np.ones(len(grid), dtype=complex)
     for i in range(n, 0, -1):
         target, factor = shift_table(cn, y(i, True))
@@ -275,17 +283,16 @@ def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
                   for step in (2, 4) for ki in range(K)}
     norms = [float(math.prod(pochhammer[4 if i == n else 2, ki] for i, ki in enumerate(k, 1)))
              for k in indices[grid].tolist()]
-    vectors = np.zeros((len(grid), cn.dim), dtype=complex)
-    vectors[rows, rank] = amp / np.sqrt(norms)
-    units = np.arange(cn.dim) == grid[:, None]
-    defects = np.max(np.abs(vectors - units), axis=1, initial=0.0)
-    for k, defect in zip(indices[grid].tolist(), defects.tolist()):
-        report.max_residual = max(report.max_residual, defect)
-        if defect > NUMERIC_TOL:
-            report.witnesses.append({"k": k, "basis_defect": defect})
+    values = amp / np.sqrt(norms)
+    mags = np.abs(values)
+    defects = np.where(rank == grid, np.abs(values - 1.0), np.maximum(mags, 1.0))
+    report.max_residual = float(np.max(defects, initial=0.0))
+    for j in np.flatnonzero(defects > NUMERIC_TOL).tolist():
+        report.witnesses.append({"k": indices[grid[j]].tolist(), "basis_defect": float(defects[j])})
 
-    gram = vectors.conj() @ vectors.T
-    gram_defect = float(np.max(np.abs(gram - np.eye(len(grid))), initial=0.0))
+    order = np.lexsort((-mags, rank))  # largest magnitude first within each rank
+    shared = mags[order[1:]] * mags[order[:-1]] * (rank[order[1:]] == rank[order[:-1]])
+    gram_defect = float(max(np.max(np.abs(mags**2 - 1.0), initial=0.0), np.max(shared, initial=0.0)))
     report.max_residual = max(report.max_residual, gram_defect)
     if gram_defect > NUMERIC_TOL:
         report.witnesses.append({"gram_defect": gram_defect})

@@ -87,6 +87,22 @@ class TestVerify:
         assert code == 2
         assert "exact rational" in err
 
+    def test_zero_denominator_q_rejected(self):
+        code, out, err = run_cli(["verify", "--q", "1/0"])
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err
+
+    def test_deep_nesting_exits_2(self):
+        code, out, err = run_cli(["normalize", "(" * 5000 + "y1" + ")" * 5000])
+        assert code == 2
+        assert "nested deeper" in err
+
+    def test_oversized_truncation_exits_2(self):
+        code, out, err = run_cli(["verify", "--n", "10", "--K", "30", "--suite", "kernel"])
+        assert code == 2
+        assert "exceed" in err
+
 
 class TestRep:
     def test_matrix_diagonal(self):

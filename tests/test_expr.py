@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qsphere.algebra import Element, Word, presentation_S, presentation_Sigma, x, y
-from qsphere.expr import ExprSyntaxError, SourceSpan, parse, print_canonical
+from qsphere.expr import MAX_NESTING, ExprSyntaxError, SourceSpan, parse, print_canonical
 from qsphere.scalar import LaurentPoly
 
 ONE = LaurentPoly.one()
@@ -57,6 +57,14 @@ class TestParse:
 
     def test_leading_minus(self):
         assert parse("-q^-1 + 1", SIGMA2) == Element.one() * (ONE - Q(-1))
+
+    def test_nesting_limit(self):
+        deepest = "(" * MAX_NESTING + "y1" + ")" * MAX_NESTING
+        assert parse(deepest, SIGMA2) == Element.of(y(1))
+        with pytest.raises(ExprSyntaxError) as err:
+            parse("(" * 5000 + "y1" + ")" * 5000, SIGMA2)
+        assert "nested deeper" in str(err.value)
+        assert err.value.span == SourceSpan(MAX_NESTING, MAX_NESTING + 1)
 
     def test_rational_scalars(self):
         assert parse("3/2 y1", SIGMA2) == Element.of(y(1), coeff=LaurentPoly.const(Fraction(3, 2)))

@@ -37,6 +37,12 @@ def cfg(n=1, q0=HALF, lam=1, K=6, mode="numeric", lam_exact=None):
     return RepConfig(n, q0, lam, K, mode, lam_exact)
 
 
+def dense(m):
+    out = np.zeros((m.dim, m.dim), dtype=complex)
+    out[m.rows, m.cols] = m.values
+    return out
+
+
 def sphere_element(n):
     e = Element.zero()
     for i in range(1, n + 2):
@@ -65,6 +71,16 @@ class TestConfig:
     def test_pythagorean_lambda(self):
         c = cfg(lam=complex(0.6, 0.8), lam_exact=(Fraction(3, 5), Fraction(4, 5)), mode="exact")
         assert c.lam == complex(0.6, 0.8)
+
+    def test_refuses_size_before_allocating(self, monkeypatch):
+        import qsphere.rep as rep_mod
+
+        def no_fock_array(c):
+            raise AssertionError("fock_array ran for a refused size")
+
+        monkeypatch.setattr(rep_mod, "fock_array", no_fock_array)
+        with pytest.raises(DomainError, match="31\\^10"):
+            cfg(n=10, K=30)
 
     def test_rank_round_trip(self):
         c = cfg(n=3, K=2)
@@ -215,7 +231,7 @@ class TestMatrix:
     def test_unit_matrix(self):
         c = cfg(n=2, K=2)
         m = matrix(Element.one(), c)
-        assert np.allclose(m.to_dense(), np.eye(c.dim))
+        assert np.allclose(dense(m), np.eye(c.dim))
 
     def test_diagonal_generator(self):
         c = cfg(K=2)
@@ -230,8 +246,8 @@ class TestMatrix:
         for _ in range(10):
             a = Element.from_word(Word(tuple(rng.choice(p.generators) for _ in range(2))))
             b = Element.from_word(Word(tuple(rng.choice(p.generators) for _ in range(2))))
-            lhs = matrix(a + b, c).to_dense()
-            rhs = matrix(a, c).to_dense() + matrix(b, c).to_dense()
+            lhs = dense(matrix(a + b, c))
+            rhs = dense(matrix(a, c)) + dense(matrix(b, c))
             assert np.allclose(lhs, rhs, atol=1e-14)
 
     def test_adjoint_consistency_on_interior(self):
@@ -242,14 +258,14 @@ class TestMatrix:
         for _ in range(10):
             w = Word(tuple(rng.choice(p.generators) for _ in range(rng.randint(1, 2))))
             e = Element.from_word(w)
-            a = matrix(e, c).to_dense()
-            b = matrix(e.star(), c).to_dense()
+            a = dense(matrix(e, c))
+            b = dense(matrix(e.star(), c))
             sub = np.ix_(interior, interior)
             assert np.allclose(b[sub], a.conj().T[sub], atol=1e-13)
 
     def test_kernel_of_diagonal_is_trivial(self):
         c = cfg(n=2, K=3)
-        m = matrix(Element.of(y(3)), c).to_dense()
+        m = dense(matrix(Element.of(y(3)), c))
         assert np.linalg.matrix_rank(m) == c.dim
 
 

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qsphere.verify as verify_mod
 from qsphere.algebra import Element, presentation_S, presentation_Sigma, y
-from qsphere.rep import RepConfig, fock_indices, is_interior, matrix
-from qsphere.scalar import DomainError
+from qsphere.rep import (
+    RepConfig,
+    SparseMatrix,
+    fock_array,
+    fock_indices,
+    is_interior,
+    matrix,
+    shift_table,
+)
+from qsphere.scalar import DomainError, LaurentPoly, qpochhammer
 from qsphere.verify import (
     check_kernel_structure,
     check_lemma_aux,
@@ -173,7 +184,10 @@ class TestSuite:
 
 
 def _dense(e, c):
-    return matrix(e, c).to_dense()
+    m = matrix(e, c)
+    out = np.zeros((m.dim, m.dim), dtype=complex)
+    out[m.rows, m.cols] = m.values
+    return out
 
 
 def _svd_kernel_basis(c, k):
@@ -233,3 +247,118 @@ class TestAgainstSingularValues:
                         report = check_lemma_main(c, k)
                         assert report.passed
                         assert abs(report.max_residual - _svd_lemma_main_residual(c, k)) < 1e-12
+
+
+# -- the dense basis check, kept as the reference for the one-entry reduction ----
+
+
+def _dense_lowest_weight_basis(c):
+    """Worst basis or Gram defect and the witness count, from the dense vectors
+    of the raised grid and their full Gram matrix."""
+    n, K = c.n, c.K
+    indices = fock_array(c)
+    grid = np.flatnonzero(np.all(indices <= K - 1, axis=1))
+    rank, amp = np.zeros(len(grid), dtype=np.int64), np.ones(len(grid), dtype=complex)
+    for i in range(n, 0, -1):
+        target, factor = shift_table(c, y(i, True))
+        for power in range(K - 1):
+            more = indices[grid, i - 1] > power
+            amp[more] *= factor[rank[more]]
+            rank[more] = target[rank[more]]
+    q = LaurentPoly.q
+    norms = [math.prod(float(qpochhammer(q(step), q(step), ki).evaluate(c.q0))
+                       for step, ki in zip([2] * (n - 1) + [4], k))
+             for k in indices[grid].tolist()]
+    vectors = np.zeros((len(grid), c.dim), dtype=complex)
+    vectors[np.arange(len(grid)), rank] = amp / np.sqrt(norms)
+    units = np.arange(c.dim) == grid[:, None]
+    defects = np.max(np.abs(vectors - units), axis=1, initial=0.0)
+    gram = vectors.conj() @ vectors.T
+    gram_defect = float(np.max(np.abs(gram - np.eye(len(grid))), initial=0.0))
+    witnesses = int(np.sum(defects > 1e-12)) + (gram_defect > 1e-12)
+    return max(float(np.max(defects, initial=0.0)), gram_defect), witnesses
+
+
+class TestReductionAgainstDense:
+    @pytest.mark.parametrize("lam", [1, 1j])
+    def test_basis_residuals_match_dense(self, lam):
+        for n in (1, 2, 3):
+            for K in range(6):
+                for q0 in (HALF, Fraction(3, 5), Fraction(1, 3)):
+                    c = cfg(n=n, K=K, q0=q0, lam=lam)
+                    report = check_lowest_weight_basis(c)
+                    residual, witnesses = _dense_lowest_weight_basis(c)
+                    assert abs(report.max_residual - residual) < 1e-12, (n, K, q0)
+                    assert len(report.witnesses) == witnesses
+
+    def test_memory_stays_linear_in_dim(self):
+        c = cfg(n=3, K=7)
+        tracemalloc.start()
+        try:
+            for k in range(1, c.n + 1):
+                check_lemma_main(c, k)
+            check_lowest_weight_basis(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+
+def _patch_y_table(monkeypatch, k, edit):
+    """Make the checks read edit(starred, target copy, amp copy) for y_k and y_k*."""
+    real = verify_mod.shift_table
+
+    def edited(c, g):
+        target, amp = real(c, g)
+        if g.index != k:
+            return target, amp
+        target, amp = target.copy(), amp.copy()
+        edit(c, g.starred, target, amp)
+        return target, amp
+
+    monkeypatch.setattr(verify_mod, "shift_table", edited)
+
+
+class TestMutations:
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+    def test_scaled_amplitude_fails_both_checks(self, monkeypatch, n, k):
+        def scale(c, starred, target, amp):
+            # y_k e_k -> |0> and y_k* |0> -> e_k, both scaled: still an adjoint pair
+            amp[0 if starred else (c.K + 1) ** (c.n - k)] *= 1 + 1e-6
+
+        c = cfg(n=n, K=4, q0=Fraction(3, 5), lam=1j)
+        assert check_lemma_main(c, k).passed and check_lowest_weight_basis(c).passed
+        _patch_y_table(monkeypatch, k, scale)
+        assert not check_lemma_main(c, k).passed
+        assert not check_lowest_weight_basis(c).passed
+
+    def test_non_diagonal_a_is_a_witness(self, monkeypatch):
+        def with_off_diagonal(e, c):
+            m = matrix(e, c)
+            return SparseMatrix(m.dim, np.append(m.rows, 1), np.append(m.cols, 0),
+                                np.append(m.values, 1e-3))
+
+        monkeypatch.setattr(verify_mod, "matrix", with_off_diagonal)
+        report = check_lemma_main(cfg(n=2, K=4), k=1)
+        assert not report.passed
+        assert report.witnesses == [{"reduction": "A_diagonal", "rank": 0}]
+
+    def test_non_injective_b_is_a_witness(self, monkeypatch):
+        def merge(c, starred, target, amp):
+            if not starred:
+                target[2] = target[1]
+
+        _patch_y_table(monkeypatch, 2, merge)
+        report = check_lemma_main(cfg(n=2, K=4), k=2)
+        assert not report.passed
+        assert report.witnesses == [{"reduction": "B_injective", "rank": 0}]
+
+    def test_image_outside_block_is_a_witness(self, monkeypatch):
+        def leave(c, starred, target, amp):
+            if not starred:
+                target[1] = c.K + 1
+
+        _patch_y_table(monkeypatch, 2, leave)
+        report = check_lemma_main(cfg(n=2, K=4), k=2)
+        assert not report.passed
+        assert report.witnesses == [{"reduction": "B_in_block", "rank": 1}]
