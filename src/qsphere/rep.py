@@ -53,6 +53,8 @@ from .scalar import DomainError, LaurentPoly, RadicalScalar, RadicalSum, radical
 # run within 2 GiB.
 MAX_DIM = 2**20
 
+ONE, ZERO = LaurentPoly.one(), LaurentPoly.zero()
+
 _EXACT_COMPLEX = {1 + 0j: (Fraction(1), Fraction(0)),
                   -1 + 0j: (Fraction(-1), Fraction(0)),
                   1j: (Fraction(0), Fraction(1)),
@@ -86,6 +88,8 @@ class RepConfig:
         if self.mode not in ("numeric", "exact"):
             raise DomainError(f"unknown mode {self.mode!r}")
         lam = complex(self.lam)
+        if not math.isfinite(abs(lam)):
+            raise DomainError(f"lambda = {lam} is not finite")
         object.__setattr__(self, "lam", lam)
         exact = self.lam_exact
         if exact is None:
@@ -147,17 +151,6 @@ class ExactAmp:
     def one(cls) -> ExactAmp:
         return cls(RadicalSum.one(), RadicalSum.zero())
 
-    def __add__(self, other: ExactAmp) -> ExactAmp:
-        return ExactAmp(self.re + other.re, self.im + other.im)
-
-    def times(self, re: RadicalScalar, im: RadicalScalar) -> ExactAmp:
-        """Multiply by the Gaussian scalar re + i*im."""
-        return ExactAmp(self.re.mul_scalar(re) - self.im.mul_scalar(im),
-                        self.re.mul_scalar(im) + self.im.mul_scalar(re))
-
-    def mul_poly(self, poly: LaurentPoly) -> ExactAmp:
-        return ExactAmp(self.re.mul_poly(poly), self.im.mul_poly(poly))
-
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 
@@ -218,8 +211,8 @@ def shift_table(c: RepConfig, g: Generator):
     """(target, amp) for one generator, cached for the last few configurations:
     source rank r goes to target[r] with amplitude amp[r].  Numeric tables
     are arrays, amp complex and zero where the image vanishes; exact tables
-    are lists, amp[r] a Gaussian factor (re, im) of RadicalScalars, or None
-    where the image vanishes."""
+    are lists, amp[r] a factor (root, re, im) standing for (re + i im)
+    sqrt(root) with Laurent re and im, or None where the image vanishes."""
     if g.family != "y" or not 1 <= g.index <= c.n + 1:
         raise DomainError(f"generator {g} does not act in the rank-{c.n} representation")
     n, K, q0, i = c.n, c.K, c.q0, g.index
@@ -236,13 +229,12 @@ def shift_table(c: RepConfig, g: Generator):
         shared = {}  # one factor object per distinct amplitude keeps the cache small
         if i == n + 1:
             re, im = c.lam_exact[0], -c.lam_exact[1] if g.starred else c.lam_exact[1]
-            amp = [shared.setdefault(e, (RadicalScalar(LaurentPoly.q(e, re)),
-                                         RadicalScalar(LaurentPoly.q(e, im)))) for e in exps.tolist()]
+            amp = [shared.setdefault(e, (frozenset(), LaurentPoly.q(e, re), LaurentPoly.q(e, im)))
+                   for e in exps.tolist()]
         else:
             roots = [None] + [radical_canonicalize([step * s]) for s in range(1, K + 2)]
-            zero = RadicalScalar(LaurentPoly.zero())
-            amp = [shared.setdefault((s, p), (roots[s] * LaurentPoly.q(p), zero)) if live else None
-                   for live, s, p in zip(alive.tolist(), radicand.tolist(), prefix.tolist())]
+            amp = [shared.setdefault((s, p), (roots[s].root, roots[s].poly * LaurentPoly.q(p), ZERO))
+                   if live else None for live, s, p in zip(alive.tolist(), radicand.tolist(), prefix.tolist())]
         return target.tolist(), amp
 
     powers = np.array([float(q0 ** e) for e in range((n + 1) * K + 1)])
@@ -289,26 +281,52 @@ def _numeric_action(e: Element, src: np.ndarray, amps: np.ndarray, c: RepConfig,
     return keys[first[live]], values
 
 
+def _gauss_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two factors (root, re, im); shared atoms fold into re and im."""
+    (ra, xa, ya), (rb, xb, yb) = a, b
+    re = xa * xb if xa and xb else ZERO
+    im = xa * yb if xa and yb else ZERO
+    if ya:
+        re, im = (re - ya * yb if yb else re), (im + ya * xb if xb else im)
+    if shared := ra & rb:
+        g = max(shared)
+        full = shared == {d for d in range(1, g + 1) if g % d == 0}  # atoms of 1 - q^g
+        fold = ONE - LaurentPoly.q(g) if full else RadicalScalar(ONE, shared).root_poly()
+        re, im = (re * fold if re else re), (im * fold if im else im)
+    return ra ^ rb, re, im
+
+
 def apply_element(e: Element, v: StateVector, c: RepConfig) -> StateVector:
     """Act with an element: words act right to left, coefficients are kept
-    symbolic in exact mode and evaluated at q0 in numeric mode."""
+    symbolic in exact mode and evaluated at q0 in numeric mode.  In exact mode
+    a word's factors times its coefficient have one root, so they are carried
+    as one factor (root, re, im) and each source amplitude multiplies in once."""
     if c.mode == "numeric":
         src = np.array([rank_of(k, c) for k in v.amplitudes], dtype=np.int64)
         amps = np.array(list(v.amplitudes.values()), dtype=complex)
         rows, values = _numeric_action(e, src, amps, c, 0)
         indices = map(tuple, fock_array(c)[rows].tolist())
         return StateVector(c.mode, dict(zip(indices, values.tolist())))
-    total: dict[int, ExactAmp] = {}
+    sources = [(rank_of(k, c), [(root, p, ZERO) for root, p in amp.re.items()]
+                + [(root, ZERO, p) for root, p in amp.im.items()]) for k, amp in v.amplitudes.items()]
+    total: dict[int, tuple[dict, dict]] = {}  # target rank -> re and im parts by root
     for word, coeff in e.items():
-        items = [(rank_of(k, c), amp) for k, amp in v.amplitudes.items()]
-        for g in reversed(word.letters):
-            target, amp = shift_table(c, g)
-            items = [(target[r], a.times(*amp[r])) for r, a in items if amp[r] is not None]
-        for r, a in items:
-            total[r] = total[r] + a.mul_poly(coeff) if r in total else a.mul_poly(coeff)
-            if total[r].is_zero():
-                del total[r]
-    return StateVector(c.mode, {index_of(r, c): amp for r, amp in total.items()})
+        tables = [shift_table(c, g) for g in reversed(word.letters)]
+        for rank, parts in sources:
+            factor = (frozenset(), coeff, ZERO)
+            for target, amp in tables:
+                if amp[rank] is None:
+                    break
+                factor = _gauss_mul(factor, amp[rank])
+                rank = target[rank]
+            else:
+                re_acc, im_acc = total.setdefault(rank, ({}, {}))
+                for part in parts:
+                    root, re, im = _gauss_mul(factor, part)
+                    re_acc[root] = re_acc[root] + re if root in re_acc else re
+                    im_acc[root] = im_acc[root] + im if root in im_acc else im
+    amps = {r: ExactAmp(RadicalSum(re), RadicalSum(im)) for r, (re, im) in total.items()}
+    return StateVector(c.mode, {index_of(r, c): a for r, a in amps.items() if not a.is_zero()})
 
 
 def apply_generator(g: Generator, v: StateVector, c: RepConfig) -> StateVector:

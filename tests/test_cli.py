@@ -103,6 +103,16 @@ class TestVerify:
         assert code == 2
         assert "exceed" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--lambda", "nan,0", "--n", "2", "--K", "3", "--suite", "kernel"],
+        ["rep", "matrix", "--lambda", "nan,0", "--n", "1", "--K", "2", "--", "y2"],
+    ])
+    def test_nan_lambda_exits_2(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
 
 class TestRep:
     def test_matrix_diagonal(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,13 @@ import pytest
 
 from qsphere.algebra import Element, Word, normalize, presentation_Sigma, y
 from qsphere.expr import parse
+import qsphere.rep as rep_mod
+import qsphere.verify as verify_mod
 from qsphere.rep import (
+    ExactAmp,
     RepConfig,
     SparseMatrix,
+    StateVector,
     apply_element,
     apply_generator,
     basis_state,
@@ -26,7 +31,8 @@ from qsphere.rep import (
     rank_of,
     yn1_spectrum,
 )
-from qsphere.scalar import DomainError, LaurentPoly
+from qsphere.scalar import DomainError, LaurentPoly, RadicalScalar, RadicalSum
+from qsphere.verify import check_relations_in_rep
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q
@@ -63,6 +69,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             cfg(lam_exact=(Fraction(1), Fraction(1)))
 
+    @pytest.mark.parametrize("lam", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(DomainError, match="not finite"):
+            cfg(lam=lam)
+
     def test_exact_mode_needs_exact_lambda(self):
         with pytest.raises(DomainError):
             cfg(lam=complex(math.cos(0.3), math.sin(0.3)), mode="exact")
@@ -73,8 +84,6 @@ class TestConfig:
         assert c.lam == complex(0.6, 0.8)
 
     def test_refuses_size_before_allocating(self, monkeypatch):
-        import qsphere.rep as rep_mod
-
         def no_fock_array(c):
             raise AssertionError("fock_array ran for a refused size")
 
@@ -416,3 +425,91 @@ class TestAgainstReference:
         text = matrix_json(matrix(e, c), c)
         assert text == matrix_json(_reference_matrix(e, c), c)
         assert '"entries":[[0,0,1,-0]' in text
+
+
+# -- the per-generator ExactAmp product, kept as the reference for exact mode ----
+
+
+def _reference_times(a, factor):
+    """a times one table factor (root, re, im), on RadicalSum pairs."""
+    root, re, im = factor
+    fre, fim = RadicalScalar(re, root), RadicalScalar(im, root)
+    return ExactAmp(a.re.mul_scalar(fre) - a.im.mul_scalar(fim),
+                    a.re.mul_scalar(fim) + a.im.mul_scalar(fre))
+
+
+def _reference_apply_exact(e, v, c):
+    """e v one generator at a time, each image an ExactAmp, summed per target."""
+    total = {}
+    for word, coeff in e.items():
+        items = [(rank_of(k, c), amp) for k, amp in v.amplitudes.items()]
+        for g in reversed(word.letters):
+            target, amp = rep_mod.shift_table(c, g)
+            items = [(target[r], _reference_times(a, amp[r])) for r, a in items if amp[r] is not None]
+        for r, a in items:
+            a = ExactAmp(a.re.mul_poly(coeff), a.im.mul_poly(coeff))
+            total[r] = ExactAmp(total[r].re + a.re, total[r].im + a.im) if r in total else a
+            if total[r].is_zero():
+                del total[r]
+    return StateVector(c.mode, {index_of(r, c): amp for r, amp in total.items()})
+
+
+def _random_exact_state(rng, c):
+    """A few basis vectors with amplitudes spread over several radical roots."""
+    roots = [frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 2, 4})]
+    polys = (ONE, -ONE, Q(1), ONE - Q(2), Q(-1) * Fraction(3, 2))
+
+    def radical_sum():
+        return RadicalSum({rng.choice(roots): rng.choice(polys) for _ in range(rng.randint(0, 3))})
+
+    ks = list(fock_indices(c))
+    return StateVector("exact", {rng.choice(ks): ExactAmp(radical_sum(), radical_sum())
+                                 for _ in range(rng.randint(1, 3))})
+
+
+class TestExactAgainstReference:
+    LAMBDAS = ((1, None), (1j, None), (complex(0.6, 0.8), (Fraction(3, 5), Fraction(4, 5))))
+
+    @pytest.mark.parametrize("lam,lam_exact", LAMBDAS)
+    def test_canonical_amplitudes_equal(self, lam, lam_exact):
+        rng = random.Random(404)
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            c = cfg(n=n, K=3 if n < 3 else 2, lam=lam, lam_exact=lam_exact, mode="exact")
+            e = _random_element(rng, n)
+            for v in (basis_state(c, rng.choice(list(fock_indices(c)))), _random_exact_state(rng, c)):
+                got = apply_element(e, v, c).amplitudes
+                want = _reference_apply_exact(e, v, c).amplitudes
+                assert {k: str(a) for k, a in got.items()} == {k: str(a) for k, a in want.items()}
+
+    def test_scaled_factor_fails_relations_at_the_same_points(self, monkeypatch):
+        real = rep_mod.shift_table
+
+        def scaled(c, g):
+            target, amp = real(c, g)
+            if g != y(1, True):
+                return target, amp
+            amp = list(amp)
+            root, re, im = amp[0]  # y_1* |0,0>, inside every interior check
+            amp[0] = (root, re * Fraction(3, 2), im * Fraction(3, 2))
+            return target, amp
+
+        c, p = cfg(n=2, K=4, lam=1j, mode="exact"), presentation_Sigma(2, sphere_reduction=False)
+        monkeypatch.setattr(rep_mod, "shift_table", scaled)
+        report = check_relations_in_rep(c, p)
+        monkeypatch.setattr(verify_mod, "apply_element", _reference_apply_exact)
+        oracle = check_relations_in_rep(c, p)
+        assert not report.passed and report.witnesses
+        assert report.witnesses == oracle.witnesses
+
+    def test_exact_relations_memory(self):
+        c, p = cfg(n=3, K=4, mode="exact"), presentation_Sigma(3, sphere_reduction=False)
+        check_relations_in_rep(c, p)  # fills the shift-table cache
+        tracemalloc.start()
+        try:
+            report = check_relations_in_rep(c, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 100_000, peak

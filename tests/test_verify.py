@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import qsphere.verify as verify_mod
-from qsphere.algebra import Element, presentation_S, presentation_Sigma, y
+from qsphere.algebra import Element, normalize, presentation_S, presentation_Sigma, y
 from qsphere.rep import (
     RepConfig,
     SparseMatrix,
@@ -362,3 +363,48 @@ class TestMutations:
         report = check_lemma_main(cfg(n=2, K=4), k=2)
         assert not report.passed
         assert report.witnesses == [{"reduction": "B_in_block", "rank": 1}]
+
+
+# -- from-scratch normalization, kept as the reference for the incremental powers --
+
+
+def _scratch_lemma_aux(p, m_max):
+    """(i, m, normal form) for every power identity that does not normalize to 0,
+    each normalized from scratch."""
+    found = []
+    for i in range(1, p.n + 1):
+        for m in range(1, m_max + 1):
+            nf = normalize(lemma_aux_identity(p.n, i, m), p)
+            if not nf.is_zero():
+                found.append((i, m, str(nf)))
+    return found
+
+
+def _with_perturbed_rule(p, i, c):
+    """A copy of p with c q added to the first term of the y_i y_i* rule."""
+    out = copy.copy(p)
+    out.rules = dict(p.rules)
+    rhs = p.rules[y(i), y(i, True)]
+    word, _ = rhs.items()[0]
+    out.rules[y(i), y(i, True)] = rhs + Element.from_word(word, LaurentPoly.q(1, c))
+    return out
+
+
+class TestLemmaAuxAgainstScratch:
+    M_MAX = 8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_normal_forms_equal(self, n):
+        p = presentation_Sigma(n)
+        report = check_lemma_aux(p, self.M_MAX)
+        assert report.passed
+        assert _scratch_lemma_aux(p, self.M_MAX) == []
+
+    @pytest.mark.parametrize("n,i,c", [(1, 1, 1), (2, 1, 1), (2, 2, Fraction(-1, 2)),
+                                       (3, 1, 2), (3, 3, 1), (4, 1, Fraction(1, 3)), (4, 4, -1)])
+    def test_perturbed_rule_fails_with_the_same_witnesses(self, n, i, c):
+        p = _with_perturbed_rule(presentation_Sigma(n), i, c)
+        report = check_lemma_aux(p, self.M_MAX)
+        assert not report.passed
+        assert [(w["i"], w["m"], w["normal_form"]) for w in report.witnesses] == \
+               _scratch_lemma_aux(p, self.M_MAX)
