@@ -74,6 +74,14 @@ def _rep_config(args) -> RepConfig:
     return RepConfig(args.n, _parse_q(args.q), lam, args.K, args.mode, lam_exact)
 
 
+def _numeric_config(args, command: str) -> RepConfig:
+    """The configuration of a command that prints doubles; it refuses exact mode."""
+    if args.mode == "exact":
+        raise DomainError(f"{command} prints floating-point values: --mode exact is "
+                          "only honoured by verify")
+    return _rep_config(args)
+
+
 def _add_common(sub):
     sub.add_argument("--algebra", choices=("s", "sigma"), default="sigma")
     sub.add_argument("--n", type=int, default=1)
@@ -116,7 +124,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rep_matrix(args) -> int:
-    config = _rep_config(args)
+    config = _numeric_config(args, "rep matrix")
     p = _presentation(args)
     element = parse(args.expr, p)
     print(matrix_json(matrix(element, config), config))
@@ -124,17 +132,16 @@ def cmd_rep_matrix(args) -> int:
 
 
 def cmd_rep_apply(args) -> int:
-    config = _rep_config(args)
+    config = _numeric_config(args, "rep apply")
     p = _presentation(args)
     element = parse(args.expr, p)
     try:
         state = tuple(int(part) for part in args.state.split(","))
     except ValueError as err:
         raise DomainError(f"bad state {args.state!r}; expected k1,..,kn") from err
-    numeric = config.numeric()
-    out = apply_element(element, basis_state(numeric, state), numeric)
+    out = apply_element(element, basis_state(config, state), config)
     if args.format == "json":
-        payload = {"n": numeric.n, "K": numeric.K,
+        payload = {"n": config.n, "K": config.K,
                    "state": [[list(k), amp.real, amp.imag] for k, amp in out.items()]}
         print(json.dumps(payload))
     else:
@@ -146,7 +153,7 @@ def cmd_rep_apply(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    config = _rep_config(args)
+    config = _numeric_config(args, "spectrum")
     values = yn1_spectrum(config)
     if args.format == "json":
         print(json.dumps({"spectrum": [[v.real, v.imag] for v in values]}))

@@ -154,6 +154,11 @@ class ExactAmp:
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 
+    def parts(self) -> list[tuple]:
+        """The amplitude as factors (root, re, im), one per root of each part."""
+        return ([(root, p, ZERO) for root, p in self.re.items()]
+                + [(root, ZERO, p) for root, p in self.im.items()])
+
     def evaluate(self, q0) -> complex:
         return complex(self.re.evaluate(q0), self.im.evaluate(q0))
 
@@ -181,11 +186,6 @@ class StateVector:
 
     def items(self):
         return sorted(self.amplitudes.items())
-
-    def max_abs(self, q0=None) -> float:
-        """Largest amplitude magnitude; exact amplitudes are evaluated at q0."""
-        amps = (a.evaluate(q0) if self.mode == "exact" else a for a in self.amplitudes.values())
-        return max(map(abs, amps), default=0.0)
 
 
 def basis_state(c: RepConfig, k: tuple[int, ...]) -> StateVector:
@@ -296,24 +296,18 @@ def _gauss_mul(a: tuple, b: tuple) -> tuple:
     return ra ^ rb, re, im
 
 
-def apply_element(e: Element, v: StateVector, c: RepConfig) -> StateVector:
-    """Act with an element: words act right to left, coefficients are kept
-    symbolic in exact mode and evaluated at q0 in numeric mode.  In exact mode
-    a word's factors times its coefficient have one root, so they are carried
-    as one factor (root, re, im) and each source amplitude multiplies in once."""
-    if c.mode == "numeric":
-        src = np.array([rank_of(k, c) for k in v.amplitudes], dtype=np.int64)
-        amps = np.array(list(v.amplitudes.values()), dtype=complex)
-        rows, values = _numeric_action(e, src, amps, c, 0)
-        indices = map(tuple, fock_array(c)[rows].tolist())
-        return StateVector(c.mode, dict(zip(indices, values.tolist())))
-    sources = [(rank_of(k, c), [(root, p, ZERO) for root, p in amp.re.items()]
-                + [(root, ZERO, p) for root, p in amp.im.items()]) for k, amp in v.amplitudes.items()]
-    total: dict[int, tuple[dict, dict]] = {}  # target rank -> re and im parts by root
-    for word, coeff in e.items():
-        tables = [shift_table(c, g) for g in reversed(word.letters)]
-        for rank, parts in sources:
-            factor = (frozenset(), coeff, ZERO)
+def exact_action(e: Element, sources, c: RepConfig):
+    """Exact images of e, one source at a time: for each (rank, parts), parts
+    the factors (root, re, im) of a source amplitude a, yield e (a |rank>) as
+    {target rank: ExactAmp}, zero amplitudes dropped.  Words act right to left
+    with symbolic coefficients.  Each word's tables are fetched once per call;
+    its factors times its coefficient have one root, so they are carried as
+    one factor and each part multiplies in once."""
+    words = [(coeff, [shift_table(c, g) for g in reversed(word.letters)]) for word, coeff in e.items()]
+    for source, parts in sources:
+        total: dict[int, tuple[dict, dict]] = {}  # target rank -> re and im parts by root
+        for coeff, tables in words:
+            rank, factor = source, (frozenset(), coeff, ZERO)
             for target, amp in tables:
                 if amp[rank] is None:
                     break
@@ -325,8 +319,25 @@ def apply_element(e: Element, v: StateVector, c: RepConfig) -> StateVector:
                     root, re, im = _gauss_mul(factor, part)
                     re_acc[root] = re_acc[root] + re if root in re_acc else re
                     im_acc[root] = im_acc[root] + im if root in im_acc else im
-    amps = {r: ExactAmp(RadicalSum(re), RadicalSum(im)) for r, (re, im) in total.items()}
-    return StateVector(c.mode, {index_of(r, c): a for r, a in amps.items() if not a.is_zero()})
+        amps = {r: ExactAmp(RadicalSum(re), RadicalSum(im)) for r, (re, im) in total.items()}
+        yield {r: a for r, a in amps.items() if not a.is_zero()}
+
+
+def apply_element(e: Element, v: StateVector, c: RepConfig) -> StateVector:
+    """Act with an element: words act right to left, coefficients are kept
+    symbolic in exact mode and evaluated at q0 in numeric mode.  Exact mode
+    sums the images of the basis vectors of v from `exact_action`."""
+    if c.mode == "numeric":
+        src = np.array([rank_of(k, c) for k in v.amplitudes], dtype=np.int64)
+        amps = np.array(list(v.amplitudes.values()), dtype=complex)
+        rows, values = _numeric_action(e, src, amps, c, 0)
+        indices = map(tuple, fock_array(c)[rows].tolist())
+        return StateVector(c.mode, dict(zip(indices, values.tolist())))
+    total: dict[int, ExactAmp] = {}
+    for image in exact_action(e, [(rank_of(k, c), a.parts()) for k, a in v.amplitudes.items()], c):
+        for r, a in image.items():
+            total[r] = ExactAmp(total[r].re + a.re, total[r].im + a.im) if r in total else a
+    return StateVector(c.mode, {index_of(r, c): a for r, a in total.items() if not a.is_zero()})
 
 
 def apply_generator(g: Generator, v: StateVector, c: RepConfig) -> StateVector:

@@ -33,26 +33,34 @@ class DomainError(ValueError):
     """An argument lies outside its mathematical domain."""
 
 
-def _as_fraction(value) -> Fraction:
+def _as_rational(value) -> int | Fraction:
+    """An exact rational: an int when it is integral, else a Fraction."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise DomainError("floating-point scalars are not allowed in the exact layer")
-    return Fraction(value)
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class LaurentPoly:
     """A Laurent polynomial in q over the rationals.
 
     Stored sparsely as a map from integer exponent to nonzero rational
-    coefficient; the zero polynomial has an empty map.
+    coefficient; the zero polynomial has an empty map.  An integral
+    coefficient is an int and only a non-integral one a Fraction, so integer
+    arithmetic, the common case, never builds a Fraction.  Text, equality and
+    hashes do not see the difference: str(3), 3 == Fraction(3) and hash(3)
+    agree with the Fraction forms.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data: dict[int, Fraction] = {}
+        data: dict[int, int | Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _as_rational(coeff)
                 if coeff:
                     data[int(exp)] = coeff
         self._terms = data
@@ -69,12 +77,12 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, value) -> LaurentPoly:
-        return cls({0: _as_fraction(value)})
+        return cls({0: _as_rational(value)})
 
     @classmethod
     def q(cls, exp: int = 1, coeff=1) -> LaurentPoly:
         """The monomial coeff * q^exp."""
-        return cls({exp: _as_fraction(coeff)})
+        return cls({exp: _as_rational(coeff)})
 
     # -- inspection ------------------------------------------------------
 
@@ -82,10 +90,10 @@ class LaurentPoly:
         """Term items sorted by ascending exponent."""
         return sorted(self._terms.items())
 
-    def coeff(self, exp: int) -> Fraction:
-        return self._terms.get(exp, Fraction(0))
+    def coeff(self, exp: int) -> int | Fraction:
+        return self._terms.get(exp, 0)
 
-    def as_monomial(self) -> tuple[int, Fraction] | None:
+    def as_monomial(self) -> tuple[int, int | Fraction] | None:
         """Return (exponent, coefficient) if this is a single term, else None."""
         if len(self._terms) != 1:
             return None
@@ -118,8 +126,10 @@ class LaurentPoly:
             return NotImplemented
         terms = dict(self._terms)
         for exp, coeff in other._terms.items():
-            new = terms.get(exp, Fraction(0)) + coeff
+            new = terms.get(exp, 0) + coeff
             if new:
+                if type(new) is not int and new.denominator == 1:
+                    new = new.numerator
                 terms[exp] = new
             else:
                 terms.pop(exp, None)
@@ -150,12 +160,14 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, int | Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                new = terms.get(e, Fraction(0)) + c1 * c2
+                new = terms.get(e, 0) + c1 * c2
                 if new:
+                    if type(new) is not int and new.denominator == 1:
+                        new = new.numerator
                     terms[e] = new
                 else:
                     terms.pop(e, None)
@@ -199,12 +211,12 @@ class LaurentPoly:
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate(self, q0) -> Fraction:
+    def evaluate(self, q0) -> int | Fraction:
         """Exact value at a rational point q0 in (0, 1)."""
-        q0 = _as_fraction(q0)
+        q0 = _as_rational(q0)
         if not 0 < q0 < 1:
             raise DomainError(f"q0 = {q0} is outside (0, 1)")
-        return sum((c * q0**e for e, c in self._terms.items()), Fraction(0))
+        return sum((c * q0**e for e, c in self._terms.items()), 0)
 
     # -- canonical text form ----------------------------------------------
 
@@ -329,17 +341,17 @@ def _exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     den_lead = den_terms[den_top]
     min_qexp = num.min_exp() - den.min_exp()
     work = dict(num._terms)
-    quot: dict[int, Fraction] = {}
+    quot: dict[int, int | Fraction] = {}
     while work:
         top = max(work)
         qexp = top - den_top
         if qexp < min_qexp:
             raise DomainError("inexact polynomial division")
-        qc = work[top] / den_lead
+        qc = _as_rational(Fraction(work[top], den_lead))  # int / int would be a float
         quot[qexp] = qc
         for e, c in den_terms.items():
             tgt = e + qexp
-            new = work.get(tgt, Fraction(0)) - qc * c
+            new = work.get(tgt, 0) - qc * c
             if new:
                 work[tgt] = new
             else:

@@ -165,6 +165,19 @@ class TestSpectrum:
         assert sorted(v[0] for v in values) == sorted([1.0, 0.5, 0.25, 0.125])
 
 
+class TestNumericOnlyCommands:
+    @pytest.mark.parametrize("argv", [
+        ["rep", "matrix", "--K", "2", "y2"],
+        ["rep", "apply", "--K", "2", "y1'", "--state", "0"],
+        ["spectrum", "--K", "2"],
+    ])
+    def test_exact_mode_exits_2(self, argv):
+        code, out, err = run_cli(argv + ["--mode", "exact"])
+        assert code == 2
+        assert out == ""
+        assert "--mode exact" in err
+
+
 class TestExitCodes:
     def test_failed_verification_exits_1(self, monkeypatch):
         from qsphere import cli as cli_mod

@@ -11,10 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsphere.algebra import Element, Word, normalize, presentation_Sigma, y
+from qsphere.algebra import Element, Word, normalize, presentation_Sigma, relations_Sigma, y
 from qsphere.expr import parse
 import qsphere.rep as rep_mod
-import qsphere.verify as verify_mod
 from qsphere.rep import (
     ExactAmp,
     RepConfig,
@@ -32,7 +31,7 @@ from qsphere.rep import (
     yn1_spectrum,
 )
 from qsphere.scalar import DomainError, LaurentPoly, RadicalScalar, RadicalSum
-from qsphere.verify import check_relations_in_rep
+from qsphere.verify import GUARD_POINTS, check_relations_in_rep
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q
@@ -454,6 +453,24 @@ def _reference_apply_exact(e, v, c):
     return StateVector(c.mode, {index_of(r, c): amp for r, amp in total.items()})
 
 
+def _reference_relations(c):
+    """(max_residual, witnesses) of the exact relations check, from
+    _reference_apply_exact on each interior basis vector (each vector for
+    the sphere relation)."""
+    worst, witnesses = 0.0, []
+    for name, rel in relations_Sigma(c.n):
+        for k in fock_indices(c):
+            if not (name.startswith("sphere") or is_interior(k, c)):
+                continue
+            out = _reference_apply_exact(rel, basis_state(c, k), c)
+            if not out.is_zero():
+                residual = max(abs(a.evaluate(q0)) for q0 in GUARD_POINTS
+                               for a in out.amplitudes.values())
+                worst = max(worst, residual)
+                witnesses.append({"relation": name, "k": list(k), "residual": residual})
+    return worst, witnesses
+
+
 def _random_exact_state(rng, c):
     """A few basis vectors with amplitudes spread over several radical roots."""
     roots = [frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 2, 4})]
@@ -497,10 +514,33 @@ class TestExactAgainstReference:
         c, p = cfg(n=2, K=4, lam=1j, mode="exact"), presentation_Sigma(2, sphere_reduction=False)
         monkeypatch.setattr(rep_mod, "shift_table", scaled)
         report = check_relations_in_rep(c, p)
-        monkeypatch.setattr(verify_mod, "apply_element", _reference_apply_exact)
-        oracle = check_relations_in_rep(c, p)
         assert not report.passed and report.witnesses
-        assert report.witnesses == oracle.witnesses
+        assert (report.max_residual, report.witnesses) == _reference_relations(c)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("lam,lam_exact", LAMBDAS)
+    @pytest.mark.parametrize("n,K", [(n, K) for n in (1, 2, 3) for K in (2, 3, 4)])
+    def test_relations_report_matches_per_vector_reference(self, monkeypatch, n, K, lam, lam_exact,
+                                                           perturbed):
+        if perturbed:
+            # Every live factor of y_1* times 1 + q^4: the relations fail on
+            # many vectors, the last one included, and most at large q0.
+            real, scaled = rep_mod.shift_table, {}
+
+            def perturbed_table(c, g):
+                target, amp = real(c, g)
+                if g != y(1, True):
+                    return target, amp
+                if (c, g) not in scaled:
+                    scaled[c, g] = target, [None if f is None else (f[0], f[1] * (ONE + Q(4)), f[2])
+                                            for f in amp]
+                return scaled[c, g]
+
+            monkeypatch.setattr(rep_mod, "shift_table", perturbed_table)
+        c = cfg(n=n, K=K, lam=lam, lam_exact=lam_exact, mode="exact")
+        report = check_relations_in_rep(c, presentation_Sigma(n, sphere_reduction=False))
+        assert report.passed != perturbed
+        assert (report.max_residual, report.witnesses) == _reference_relations(c)
 
     def test_exact_relations_memory(self):
         c, p = cfg(n=3, K=4, mode="exact"), presentation_Sigma(3, sphere_reduction=False)

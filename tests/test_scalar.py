@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsphere.scalar import (
     DomainError,
@@ -221,3 +223,97 @@ class TestRadicalSum:
             for q0 in (Fraction(1, 3), Fraction(1, 2)):
                 want = s.evaluate(q0) * b.evaluate(q0)
                 assert abs(prod.evaluate(q0) - want) < 1e-12
+
+
+# -- coefficient types, against polynomials stored with Fraction coefficients only --
+
+RATIONALS = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=6))
+TERMS = st.dictionaries(st.integers(-4, 4), RATIONALS, max_size=4)
+POINTS = st.fractions(Fraction(1, 50), Fraction(49, 50), max_denominator=50)
+
+
+def _oracle(terms) -> dict:
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _oracle_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _fraction_poly(terms) -> LaurentPoly:
+    """A LaurentPoly whose coefficients are all Fractions, integral ones included."""
+    poly = LaurentPoly.__new__(LaurentPoly)
+    poly._terms = dict(terms)
+    return poly
+
+
+def _assert_matches(got: LaurentPoly, want: dict):
+    for _, c in got.items():
+        assert type(c) is (int if c.denominator == 1 else Fraction), (got, c)
+    oracle = _fraction_poly(want)
+    assert str(got) == str(oracle)
+    assert got == oracle and oracle == got
+    assert hash(got) == hash(oracle)
+
+
+class TestCoefficientTypes:
+    """Integral coefficients are ints, the rest Fractions, never floats; text,
+    equality and hashes agree with storing every coefficient as a Fraction."""
+
+    @given(TERMS, TERMS, st.integers(0, 3), POINTS)
+    def test_operations_match_fraction_oracle(self, ta, tb, k, q0):
+        a, b, oa, ob = LaurentPoly(ta), LaurentPoly(tb), _oracle(ta), _oracle(tb)
+        _assert_matches(a, oa)
+        _assert_matches(a + b, _oracle_add(oa, ob))
+        _assert_matches(a - b, _oracle_add(oa, _oracle_neg(ob)))
+        _assert_matches(-b, _oracle_neg(ob))
+        _assert_matches(a * b, _oracle_mul(oa, ob))
+        power = {0: Fraction(1)}
+        for _ in range(k):
+            power = _oracle_mul(power, oa)
+        _assert_matches(a**k, power)
+        _assert_matches(LaurentPoly.parse(str(a)), oa)
+
+        poch, b_power = {0: Fraction(1)}, {0: Fraction(1)}
+        for _ in range(k):  # (a; b)_k = prod_{i<k} (1 - a b^i)
+            poch = _oracle_mul(poch, _oracle_add({0: Fraction(1)}, _oracle_neg(_oracle_mul(oa, b_power))))
+            b_power = _oracle_mul(b_power, ob)
+        _assert_matches(qpochhammer(a, b, k), poch)
+
+        value = a.evaluate(q0)
+        assert type(value) in (int, Fraction)
+        assert value == sum((c * q0**e for e, c in oa.items()), Fraction(0))
+
+    @given(st.integers(-4, 4), RATIONALS.filter(bool))
+    def test_monomial_inverse_matches_fraction_oracle(self, exp, coeff):
+        _assert_matches(Q(exp, coeff).monomial_inverse(), {-exp: 1 / Fraction(coeff)})
+
+    def test_integral_fraction_input_is_stored_as_int(self):
+        p = LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 2)}) * 2
+        assert [(e, type(c)) for e, c in p.items()] == [(0, int), (1, int)]
+        with pytest.raises(DomainError):
+            LaurentPoly.const(0.5)
+
+    def test_cyclotomic_int_coefficients_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for d in range(1, 65):
+            got = cyclotomic(d).items()
+            assert all(type(c) is int for _, c in got), d
+            want = sympy.Poly(sympy.cyclotomic_poly(d, x), x).as_dict()
+            assert dict(got) == {e: int(c) for (e,), c in want.items()}, d
