@@ -12,7 +12,6 @@ from .algebra import (
     PresentationError,
     RewriteFuelError,
     Word,
-    confluence_probe,
     normalize,
     presentation_S,
     presentation_Sigma,
@@ -47,6 +46,7 @@ from .scalar import (
 from .verify import (
     CheckReport,
     ConfigurationError,
+    check_confluence,
     check_kernel_structure,
     check_lemma_aux,
     check_lemma_main,

@@ -18,15 +18,16 @@ for kind S, y_{n+1}* y_{n+1} for kind Sigma) is eliminated through the
 sphere relation.  A normal word then contains at most one of the two
 eliminated letters: if both occur, every letter between them exchanges
 with one of them by a pure scalar, so the pair is pulled together and
-cancelled.  Rule right-hand sides are interreduced at build time and a
-termination measure is machine-checked for every rule.
+cancelled.  Rule right-hand sides are interreduced at build time.
+
+One word order, `Presentation.word_key`, orients the relations, picks the
+next term and proves termination (`validate`); see verify.check_confluence.
 """
 
 from __future__ import annotations
 
 import os
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalar import DomainError, LaurentPoly
@@ -250,40 +251,30 @@ class Presentation:
         self.sphere_reduction = sphere_reduction
         self.generators = tuple(generators)
         self.rank = {g: i for i, g in enumerate(self.generators)}
+        self._weights = [self.weight(g) for g in self.generators]
         self.rules = dict(rules)
         self.eliminated = eliminated
         self.left_scalar = dict(left_scalar or {})
         self.right_scalar = dict(right_scalar or {})
 
-    # -- word orders -----------------------------------------------------
+    # -- word order ------------------------------------------------------
 
     def contains(self, g: Generator) -> bool:
         return g in self.rank
 
-    def _elim_count(self, letters) -> int:
-        if self.eliminated is None:
-            return 0
-        estar, e = self.eliminated
-        return min(sum(1 for g in letters if g == estar),
-                   sum(1 for g in letters if g == e))
+    def weight(self, g: Generator) -> int:
+        """Generator weight in word_key; with sphere reduction on, the
+        eliminated pair outweighs every word of the sphere rule."""
+        if not self.sphere_reduction:
+            return 1
+        if self.kind == "S":
+            return 1 + (g.family == "y") + (g.index == self.n)
+        return 2 if g.index == self.n + 1 else 1
 
-    def word_measure(self, word: Word) -> tuple[int, int, int]:
-        """(eliminated-pair count, weighted inversion count, length).
-
-        The inversion weight of a disordered pair is the sum of the two
-        generator ranks plus one, which makes the diagonal exchange rules
-        that shift to strictly smaller indices decrease strictly.
-        """
-        ranks = [self.rank[g] for g in word.letters]
-        winv = 0
-        for i in range(len(ranks)):
-            for j in range(i + 1, len(ranks)):
-                if ranks[i] > ranks[j]:
-                    winv += ranks[i] + ranks[j] + 1
-        return (self._elim_count(word.letters), winv, len(ranks))
-
-    def word_key(self, word: Word):
-        return self.word_measure(word) + (tuple(self.rank[g] for g in word.letters),)
+    def word_key(self, word: Word) -> tuple[int, int, tuple[int, ...]]:
+        """(total weight, length, rank tuple): weighted degree-lex."""
+        ranks = tuple(self.rank[g] for g in word.letters)
+        return (sum(self._weights[r] for r in ranks), len(ranks), ranks)
 
     # -- single rewrite step ----------------------------------------------
 
@@ -342,18 +333,25 @@ class Presentation:
     # -- build-time validation ---------------------------------------------
 
     def validate(self):
-        """Check star stability of the generator set and the termination
-        measure: every rule's right-hand-side words sit strictly below its
-        left-hand side."""
+        """Check star stability of the generator set and termination.
+
+        word_key is weighted degree-lex with positive integer weights, so it
+        is well-founded and compatible with concatenation.  Every rule's
+        right-hand-side words must sit strictly below its left-hand side,
+        and the sphere rule's must also be strictly lighter: the scattered
+        step keeps the letters between the pair, so it then sheds weight.
+        Every step thus lowers the order, and normalization terminates."""
         for g in self.generators:
             if not self.contains(g.star()):
                 raise PresentationError(f"generator set not star-closed at {g}")
         for (a, b), rhs in self.rules.items():
-            lhs_measure = self.word_measure(Word((a, b)))
+            lhs_key = self.word_key(Word((a, b)))
+            # (w,) bounds exactly the keys of weight below w
+            bound = lhs_key[:1] if (a, b) == self.eliminated else lhs_key
             for word in rhs.words():
-                if not self.word_measure(word) < lhs_measure:
+                if not self.word_key(word) < bound:
                     raise PresentationError(
-                        f"rule {a}{b} -> ... does not decrease the measure at {word}")
+                        f"rule {a}{b} -> ... does not descend at {word}")
 
     def __repr__(self):
         return (f"Presentation(kind={self.kind}, n={self.n}, "
@@ -483,15 +481,12 @@ def _generators_Sigma(n):
 def _orient(p: Presentation, element: Element) -> tuple[tuple[Generator, Generator], Element]:
     """Solve a relation for its largest word, which becomes the rule LHS.
 
-    The largest word is taken under (weighted inversions, length, ranks);
-    the eliminated-pair component is ignored here because the sphere
-    relation is the one place where the eliminated pair must itself win.
+    p is the sphere-off presentation of the kind, whose order is plain
+    degree-lex.  The sphere-on weights would not do: the raw diagonal
+    relations contain the eliminated pair, which they would make the
+    largest word; interreduction removes it from the right-hand sides.
     """
-    def key(word):
-        elim, winv, length = p.word_measure(word)
-        return (winv, length, tuple(p.rank[g] for g in word.letters))
-
-    lead = max(element.words(), key=key)
+    lead = max(element.words(), key=p.word_key)
     coeff = element.coeff(lead)
     if coeff.as_monomial() is None:
         raise PresentationError(f"cannot orient relation: leading coefficient {coeff} "
@@ -529,8 +524,7 @@ def _build_presentation(kind: str, n: int, sphere_reduction: bool) -> Presentati
         rels = relations_Sigma(n)
         eliminated = (y(n + 1, True), y(n + 1))
 
-    proto = Presentation(kind, n, sphere_reduction, gens, {},
-                         eliminated if sphere_reduction else None)
+    proto = Presentation(kind, n, False, gens, {}, None)
 
     rules: dict[tuple[Generator, Generator], Element] = {}
     for name, element in rels:
@@ -675,48 +669,3 @@ def quotient_map(e: Element, n: int) -> Element:
             out = out + Element.from_word(Word(tuple(letters)), coeff)
     return out
 
-
-# -- confluence probe ---------------------------------------------------------
-
-
-@dataclass
-class ProbeReport:
-    """Result of randomized two-path normalization trials."""
-
-    trials: int
-    discrepancies: list = field(default_factory=list)
-    max_steps: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.discrepancies
-
-
-def confluence_probe(p: Presentation, trials: int, seed: int, max_len: int) -> ProbeReport:
-    """Normalize random words directly and after one random admissible
-    rewrite; any pair of distinct normal forms is reported."""
-    if trials <= 0 or max_len <= 0:
-        raise DomainError("trials and max_len must be positive")
-    rng = random.Random(seed)
-    report = ProbeReport(trials)
-    for _ in range(trials):
-        length = rng.randint(1, max_len)
-        word = Word(tuple(rng.choice(p.generators) for _ in range(length)))
-        element = Element.from_word(word)
-        direct, steps1 = normalize_steps(element, p)
-
-        redexes = [i for i in range(length - 1)
-                   if (word.letters[i], word.letters[i + 1]) in p.rules]
-        if redexes:
-            i = rng.choice(redexes)
-            rhs = p.rules[(word.letters[i], word.letters[i + 1])]
-            prefix, suffix = word.letters[:i], word.letters[i + 2:]
-            stepped = Element({Word(prefix + rw.letters + suffix): rc
-                               for rw, rc in rhs._terms.items()})
-        else:
-            stepped = element
-        alt, steps2 = normalize_steps(stepped, p)
-        report.max_steps = max(report.max_steps, steps1, steps2)
-        if direct != alt:
-            report.discrepancies.append((str(word), str(direct), str(alt)))
-    return report

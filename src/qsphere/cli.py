@@ -1,9 +1,9 @@
 """Command-line front end: normalize, verify, represent, spectrum.
 
-Output is deterministic for a fixed argv: orderings are canonical, floats
-print with 17 significant digits, and randomized checks take their seed
-from the command line.  Exit codes: 0 on success (all requested checks
-passed), 1 on a failed verification, 2 on syntax or domain errors.
+Output is deterministic for a fixed argv: orderings are canonical and
+floats print with 17 significant digits.  Exit codes: 0 on success (all
+requested checks passed), 1 on a failed verification, 2 on syntax or
+domain errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .algebra import (
     RewriteFuelError,
-    confluence_probe,
     normalize,
     presentation_S,
     presentation_Sigma,
@@ -24,7 +23,7 @@ from .algebra import (
 from .expr import ExprSyntaxError, parse, print_canonical
 from .rep import RepConfig, apply_element, basis_state, matrix, matrix_json, yn1_spectrum
 from .scalar import DomainError
-from .verify import SUITES, CheckReport, ConfigurationError, run_suite
+from .verify import SUITES, ConfigurationError, run_suite
 
 
 def _fmt(value: float) -> str:
@@ -92,7 +91,6 @@ def _add_common(sub):
     sub.add_argument("--sphere", choices=("on", "off"), default="on")
     sub.add_argument("--mode", choices=("numeric", "exact"), default="numeric")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def cmd_normalize(args) -> int:
@@ -106,15 +104,6 @@ def cmd_verify(args) -> int:
     p = _presentation(args)
     config = _rep_config(args) if args.algebra == "sigma" else None
     reports = run_suite(args.suite, p, config)
-    if args.probe_trials:
-        probe = confluence_probe(p, args.probe_trials, args.seed, args.probe_len)
-        reports.append(CheckReport(
-            "confluence_probe",
-            {"kind": p.kind, "n": p.n, "trials": probe.trials,
-             "max_steps": probe.max_steps},
-            tolerance=0.0,
-            max_residual=float(len(probe.discrepancies)),
-            witnesses=probe.discrepancies[:5]))
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports], indent=None, sort_keys=True))
     else:
@@ -181,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="run identity checks")
     _add_common(p_verify)
     p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument("--probe-trials", type=int, default=0,
-                          help="also run this many confluence-probe trials")
-    p_verify.add_argument("--probe-len", type=int, default=6)
     p_verify.set_defaults(func=cmd_verify)
 
     p_rep = subs.add_parser("rep", help="representation operations")

@@ -16,6 +16,7 @@ numerically at three rational points of (0, 1).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +26,7 @@ import numpy as np
 from .algebra import (
     Element,
     Presentation,
+    Word,
     normalize,
     presentation_Sigma,
     relations_S,
@@ -47,6 +49,7 @@ Q = LaurentPoly.q
 
 GUARD_POINTS = (Fraction(1, 3), Fraction(1, 2), Fraction(3, 5))
 DEFINING_TOL = 1e-12
+SCATTER_MIDDLE_MAX = 2
 UNITARY_TOL = 1e-8
 NUMERIC_TOL = 1e-12
 
@@ -151,7 +154,7 @@ def check_lemma_aux(p: Presentation, m_max: int) -> CheckReport:
     and nf((y_i*)^(m-1) tail) as nf(y_i* nf((y_i*)^(m-2) tail)); the tail and
     (y_i*)^m y_i are normal.  Rewriting is a congruence (Bergman 1978), so the
     residual is reached from lemma_aux_identity by rewriting and its zero proves
-    the identity; with unique normal forms it equals the from-scratch one."""
+    the identity; with unique normal forms (check_confluence) it equals the from-scratch one."""
     if p.kind != "Sigma":
         raise DomainError("the power identities live in the Sigma presentation")
     if not p.sphere_reduction:
@@ -174,6 +177,64 @@ def check_lemma_aux(p: Presentation, m_max: int) -> CheckReport:
                 report.max_residual = max(report.max_residual, residual)
                 report.witnesses.append({"i": i, "m": m, "normal_form": str(nf),
                                          "residual": residual})
+    return report
+
+
+def _ambiguities(p: Presentation):
+    """Every ambiguity checked, as (overlap word, one reduct, the other).
+
+    The reductions are the two-letter rules and, with sphere reduction on,
+    the scattered step on e' m e: e' e is the eliminated pair, m holds
+    neither letter and e' m e no two-letter redex, as when normalization
+    takes the step.  No rule fits inside e' m e, and two scattered steps
+    that share a letter act on the same word, so the ambiguities are
+    a b c with rules for (a, b) and (b, c), and x e' m e and e' m e z
+    with rules for (x, e') and (e, z)."""
+    for (a, b), rhs in p.rules.items():
+        for (b2, c), rhs2 in p.rules.items():
+            if b2 == b:
+                yield Word((a, b, c)), rhs * Element.of(c), Element.of(a) * rhs2
+    if p.eliminated is None:
+        return
+    estar, e = p.eliminated
+    middle_letters = [g for g in p.generators if g not in p.eliminated]
+    for length in range(1, SCATTER_MIDDLE_MAX + 1):
+        for mid in itertools.product(middle_letters, repeat=length):
+            core = (estar, *mid, e)
+            if any(pair in p.rules for pair in zip(core, core[1:])):
+                continue
+            step = p.reduce_word_once(Word(core))
+            for (g, h), rhs in p.rules.items():
+                if h == estar:
+                    yield Word((g, *core)), rhs * Element.of(*mid, e), Element.of(g) * step
+                if g == e:
+                    yield Word((*core, h)), step * Element.of(h), Element.of(estar, *mid) * rhs
+
+
+def check_confluence(p: Presentation) -> CheckReport:
+    """Resolve every ambiguity of the rewrite system (Bergman's diamond
+    lemma): both reducts of each overlap word must have one normal form.
+    A witness holds the overlap word, both normal forms and the guard
+    residual of their difference.
+
+    `Presentation.validate` proves termination, so with sphere reduction
+    off, where every ambiguity is a b c, the status is "proved".  With it
+    on, the scattered family is infinite in m and is resolved for
+    1 <= |m| <= SCATTER_MIDDLE_MAX only: "checked".  An unresolved overlap
+    has two normal forms: "refuted"."""
+    report = CheckReport("confluence", _sym_params(p), tolerance=0.0)
+    overlaps = 0
+    for overlaps, (word, left, right) in enumerate(_ambiguities(p), start=1):
+        nf_left, nf_right = normalize(left, p), normalize(right, p)
+        if nf_left != nf_right:
+            residual = _element_guard_residual(nf_left - nf_right)
+            report.max_residual = max(report.max_residual, residual)
+            report.witnesses.append({"overlap": str(word), "left": str(nf_left),
+                                     "right": str(nf_right), "residual": residual})
+    status = "refuted" if report.witnesses else "checked" if p.eliminated else "proved"
+    report.params.update(status=status, overlaps=overlaps)
+    if p.eliminated is not None:
+        report.params["middle_max"] = SCATTER_MIDDLE_MAX
     return report
 
 
@@ -351,7 +412,7 @@ def check_relations_in_rep(c: RepConfig, p: Presentation) -> CheckReport:
 
 # -- suite orchestration -------------------------------------------------------
 
-SUITES = ("all", "relations", "lemma-aux", "lemma-main", "kernel", "basis")
+SUITES = ("all", "relations", "lemma-aux", "lemma-main", "kernel", "basis", "confluence")
 
 
 def run_suite(suite: str, p: Presentation, c: RepConfig | None, m_max: int = 5) -> list[CheckReport]:
@@ -366,6 +427,9 @@ def run_suite(suite: str, p: Presentation, c: RepConfig | None, m_max: int = 5) 
             if c is not None and p.kind == "Sigma":
                 raw = presentation_Sigma(p.n, sphere_reduction=False)
                 reports.append(check_relations_in_rep(c, raw))
+            continue
+        if name == "confluence":
+            reports.append(check_confluence(p))
             continue
         if p.kind != "Sigma" or c is None:
             if suite != "all":

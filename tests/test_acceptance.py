@@ -15,7 +15,6 @@ from fractions import Fraction
 from qsphere.algebra import (
     Element,
     Word,
-    confluence_probe,
     presentation_S,
     presentation_Sigma,
     y,
@@ -25,6 +24,7 @@ from qsphere.expr import parse, print_canonical
 from qsphere.rep import RepConfig, matrix, yn1_spectrum
 from qsphere.scalar import LaurentPoly
 from qsphere.verify import (
+    check_confluence,
     check_lemma_aux,
     check_lemma_main,
     check_lowest_weight_basis,
@@ -140,18 +140,18 @@ def test_07_spectrum():
     _criterion("7 diagonal spectrum multiset", ok, "exact multiset equality")
 
 
-def test_08_confluence_probe():
+def test_08_confluence():
     ok = True
-    worst_steps = 0
+    overlaps = 0
     for build in (presentation_S, presentation_Sigma):
         for n in (1, 2, 3):
             for sphere in (True, False):
-                p = build(n, sphere)
-                report = confluence_probe(p, trials=1000, seed=1000 + n, max_len=6)
-                ok = ok and report.ok
-                worst_steps = max(worst_steps, report.max_steps)
-    _criterion("8 confluence probe", ok and worst_steps < 100_000,
-               f"zero discrepancies, max {worst_steps} steps < 1e5")
+                report = check_confluence(build(n, sphere))
+                ok = ok and report.passed
+                ok = ok and report.params["status"] == ("checked" if sphere else "proved")
+                overlaps += report.params["overlaps"]
+    _criterion("8 confluence", ok,
+               f"{overlaps} overlaps resolved; proved with sphere off, checked with it on")
 
 
 def _random_element(rng, p):

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
 
 from qsphere.algebra import (
     Element,
+    PresentationError,
     RewriteFuelError,
     Word,
-    confluence_probe,
     normalize,
     presentation_S,
     presentation_Sigma,
@@ -97,9 +98,54 @@ class TestPresentations:
                 for sphere in (True, False):
                     p = build(n, sphere)
                     for (a, b), rhs in p.rules.items():
-                        lhs_m = p.word_measure(Word((a, b)))
+                        lhs_key = p.word_key(Word((a, b)))
                         for w in rhs.words():
-                            assert p.word_measure(w) < lhs_m
+                            assert p.word_key(w) < lhs_key, (p, a, b, w)
+
+    @pytest.mark.parametrize("build", [presentation_S, presentation_Sigma])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sphere_rule_is_lighter_than_the_eliminated_pair(self, build, n):
+        p = build(n)
+        pair_weight = p.word_key(Word(p.eliminated))[0]
+        for w in p.rules[p.eliminated].words():
+            assert p.word_key(w)[0] < pair_weight, w
+
+    def test_weights(self):
+        s = presentation_S(3)
+        assert [s.weight(g) for g in (x(1), x(3, True), y(2), y(3, True))] == [1, 2, 2, 3]
+        sigma = presentation_Sigma(3)
+        assert [sigma.weight(g) for g in (y(3), y(4), y(4, True))] == [1, 2, 2]
+        for p in (presentation_S(3, False), presentation_Sigma(3, False)):
+            assert {p.weight(g) for g in p.generators} == {1}
+
+    @pytest.mark.parametrize("build", [presentation_S, presentation_Sigma])
+    @pytest.mark.parametrize("sphere", [True, False])
+    def test_rules_descend_in_any_context(self, build, sphere):
+        rng = random.Random(53)
+        p = build(2, sphere)
+        rules = list(p.rules.items())
+        for _ in range(300):
+            (a, b), rhs = rng.choice(rules)
+            u = tuple(rng.choice(p.generators) for _ in range(rng.randint(0, 3)))
+            v = tuple(rng.choice(p.generators) for _ in range(rng.randint(0, 3)))
+            lhs_key = p.word_key(Word(u + (a, b) + v))
+            for w in rhs.words():
+                assert p.word_key(Word(u + w.letters + v)) < lhs_key, (u, a, b, w, v)
+
+    def test_validate_rejects_a_rule_that_does_not_descend(self):
+        p = copy.copy(presentation_Sigma(2, sphere_reduction=False))
+        p.rules = dict(p.rules)
+        p.rules[(y(2), y(1))] = Element.of(y(2), y(2))
+        with pytest.raises(PresentationError, match="does not descend"):
+            p.validate()
+
+    def test_validate_rejects_a_heavy_sphere_rule(self):
+        p = copy.copy(presentation_S(2))
+        p.rules = dict(p.rules)
+        # y2'y2' sits below y2'y2 in the order but is just as heavy.
+        p.rules[p.eliminated] = p.rules[p.eliminated] + Element.of(y(2, True), y(2, True))
+        with pytest.raises(PresentationError, match="y2'y2 -> ... does not descend at y2'y2'"):
+            p.validate()
 
     def test_rule_rhs_are_normal(self):
         for build in (presentation_S, presentation_Sigma):
@@ -221,31 +267,19 @@ class TestQuotient:
         # y2y3 equals q^2 * y3y2 via the index-exchange relation
         assert lhs == normalize(Element.of(y(3), y(2), coeff=Q(2)), p_sig)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("sphere", [True, False])
+    def test_relations_of_s_vanish_in_sigma(self, n, sphere):
+        p = presentation_Sigma(n, sphere)
+        for name, rel in relations_S(n):
+            if name.startswith("sphere") and not sphere:
+                continue
+            nf = normalize(quotient_map(rel, n), p)
+            assert nf.is_zero(), f"{name} maps to {nf}"
+
     def test_star_commutes_with_quotient(self):
         rng = random.Random(41)
         p = presentation_S(2)
         for _ in range(30):
             e = rand_element(rng, p)
             assert quotient_map(star(e), 2) == star(quotient_map(e, 2))
-
-
-class TestConfluenceProbe:
-    @pytest.mark.parametrize("build,n,seed", [
-        (presentation_Sigma, 1, 101),
-        (presentation_Sigma, 3, 103),
-        (presentation_S, 2, 105),
-    ])
-    def test_probe_clean(self, build, n, seed):
-        p = build(n)
-        report = confluence_probe(p, trials=200, seed=seed, max_len=5)
-        assert report.ok, report.discrepancies[:3]
-
-    def test_probe_clean_sphere_off(self):
-        p = presentation_S(2, sphere_reduction=False)
-        report = confluence_probe(p, trials=200, seed=7, max_len=5)
-        assert report.ok, report.discrepancies[:3]
-
-    def test_probe_rejects_bad_args(self):
-        p = presentation_Sigma(1)
-        with pytest.raises(DomainError):
-            confluence_probe(p, trials=0, seed=1, max_len=5)

@@ -66,11 +66,20 @@ class TestVerify:
         assert reports[0]["check"] == "kernel_structure"
         assert reports[0]["passed"] is True
 
-    def test_probe_option(self):
-        code, out, _ = run_cli(["verify", "--n", "1", "--suite", "relations",
-                                "--probe-trials", "50", "--seed", "3"])
+    def test_confluence_suite(self):
+        code, out, _ = run_cli(["verify", "--suite", "confluence", "--algebra", "s", "--n", "2",
+                                "--format", "json"])
         assert code == 0
-        assert "confluence_probe" in out
+        [report] = json.loads(out)
+        assert report["check"] == "confluence" and report["passed"] is True
+        assert report["params"]["status"] == "checked"
+
+    @pytest.mark.parametrize("flag", ["--seed", "--probe-trials", "--probe-len"])
+    def test_removed_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "1", flag, "3"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_s_algebra_relations(self):
         code, out, _ = run_cli(["verify", "--algebra", "s", "--n", "2",

@@ -23,6 +23,8 @@ from qsphere.rep import (
 )
 from qsphere.scalar import DomainError, LaurentPoly, qpochhammer
 from qsphere.verify import (
+    SCATTER_MIDDLE_MAX,
+    check_confluence,
     check_kernel_structure,
     check_lemma_aux,
     check_lemma_main,
@@ -57,6 +59,63 @@ class TestSymbolicRelations:
         data = report.to_json()
         assert set(data) == {"check", "params", "max_residual", "passed", "witnesses"}
         assert data["passed"] is True
+
+
+class TestConfluence:
+    @pytest.mark.parametrize("build", [presentation_S, presentation_Sigma])
+    @pytest.mark.parametrize("sphere", [True, False])
+    def test_clean(self, build, sphere):
+        report = check_confluence(build(2, sphere))
+        assert report.passed, report.witnesses[:2]
+        assert report.params["overlaps"] > 0
+        if sphere:
+            assert report.params["status"] == "checked"
+            assert report.params["middle_max"] == SCATTER_MIDDLE_MAX
+        else:
+            assert report.params["status"] == "proved"
+            assert "middle_max" not in report.params
+
+    def test_perturbed_rule_fails_with_witness(self):
+        p = copy.copy(presentation_Sigma(2, sphere_reduction=False))
+        p.rules = dict(p.rules)
+        lhs = (y(3), y(2))
+        p.rules[lhs] = p.rules[lhs] + Element.of(y(2), y(3), coeff=LaurentPoly.q(1))
+        report = check_confluence(p)
+        assert not report.passed
+        assert report.params["status"] == "refuted"
+        assert report.max_residual > 0
+        witness = report.witnesses[0]
+        assert set(witness) == {"overlap", "left", "right", "residual"}
+        assert witness["left"] != witness["right"]
+        assert "y3y2y2'" in [w["overlap"] for w in report.witnesses]
+
+    def test_scattered_step_with_a_long_middle_is_checked(self):
+        # A scattered step that is wrong only when two letters sit between
+        # the eliminated pair escapes the length-3 overlaps and the
+        # relations check; the scattered overlaps catch it.
+        p = presentation_Sigma(1)
+        estar, e = p.eliminated
+        bad = copy.copy(p)
+
+        def scattered(letters):
+            out = type(p)._reduce_scattered(bad, letters)
+            if out is None:
+                return None
+            start = max(i for i, g in enumerate(letters) if g == estar)
+            if letters.index(e, start) - start > 2:
+                out = out * LaurentPoly.q(1)
+            return out
+
+        bad._reduce_scattered = scattered
+        assert check_symbolic_relations(bad).passed
+        report = check_confluence(bad)
+        assert report.params["status"] == "refuted"
+        assert report.witnesses[0]["overlap"] == "y2'y1y2y1"
+
+    def test_run_suite_includes_confluence(self):
+        reports = run_suite("confluence", presentation_S(1), None)
+        assert [r.name for r in reports] == ["confluence"]
+        assert "confluence" in [r.name for r in run_suite("all", presentation_S(1), None)]
 
 
 class TestLemmaAux:
