@@ -22,6 +22,10 @@ cancelled.  Rule right-hand sides are interreduced at build time.
 
 One word order, `Presentation.word_key`, orients the relations, picks the
 next term and proves termination (`validate`); see verify.check_confluence.
+Normalization runs on words coded as tuples of generator ranks: rules are
+looked up by rank pair, the next term is popped from a heap in word_key
+order, and `Word` and `Generator` appear only at the edges (the input
+check, `RewriteFuelError` and the result).
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from .scalar import DomainError, LaurentPoly
 
@@ -244,18 +250,16 @@ def star(e: Element) -> Element:
 class Presentation:
     """Generator order plus oriented rewrite rules for one of the algebras."""
 
-    def __init__(self, kind, n, sphere_reduction, generators, rules, eliminated,
-                 left_scalar=None, right_scalar=None):
+    def __init__(self, kind, n, sphere_reduction, generators, rules, eliminated):
         self.kind = kind
         self.n = n
         self.sphere_reduction = sphere_reduction
         self.generators = tuple(generators)
         self.rank = {g: i for i, g in enumerate(self.generators)}
-        self._weights = [self.weight(g) for g in self.generators]
+        self._weights = tuple(self.weight(g) for g in self.generators)
         self.rules = dict(rules)
         self.eliminated = eliminated
-        self.left_scalar = dict(left_scalar or {})
-        self.right_scalar = dict(right_scalar or {})
+        self._derived = None  # (rule items, rank rules, sphere step data)
 
     # -- word order ------------------------------------------------------
 
@@ -271,64 +275,96 @@ class Presentation:
             return 1 + (g.family == "y") + (g.index == self.n)
         return 2 if g.index == self.n + 1 else 1
 
-    def word_key(self, word: Word) -> tuple[int, int, tuple[int, ...]]:
-        """(total weight, length, rank tuple): weighted degree-lex."""
-        ranks = tuple(self.rank[g] for g in word.letters)
-        return (sum(self._weights[r] for r in ranks), len(ranks), ranks)
+    def ranks(self, word: Word) -> tuple[int, ...]:
+        """The word coded as generator ranks; KeyError on a foreign generator."""
+        return tuple(map(self.rank.__getitem__, word.letters))
+
+    def word(self, ranks: tuple[int, ...]) -> Word:
+        return Word(tuple(map(self.generators.__getitem__, ranks)))
+
+    def word_key(self, ranks: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+        """(total weight, length, ranks) of a rank-coded word: weighted degree-lex."""
+        return (sum(map(self._weights.__getitem__, ranks)), len(ranks), ranks)
 
     # -- single rewrite step ----------------------------------------------
+
+    def _derive_rank_tables(self):
+        """Code the rules by rank pair, and the sphere step's data by rank.
+
+        Called before every normalization: rules may change in place
+        (interreduction assigns p.rules[lhs]), so the tables are rebuilt
+        whenever the rule items differ from those they were derived from.
+        An unchanged rule set costs one identity-first comparison."""
+        items = tuple(self.rules.items())
+        if self._derived is not None and self._derived[0] == items:
+            return
+        rank = self.rank
+        rules = {(rank[a], rank[b]): tuple((self.ranks(w), c) for w, c in rhs._terms.items())
+                 for (a, b), rhs in items}
+        sphere = None
+        if self.eliminated is not None:
+            estar, e = self.eliminated
+            left, right = {}, {}
+            for g in self.generators:
+                if g.starred or g == e:
+                    continue
+                scalar = _scalar_exchange(self.rules, e, g)
+                if scalar is not None:
+                    left[rank[g]] = scalar
+                scalar = _scalar_exchange(self.rules, g, estar)
+                if scalar is not None:
+                    right[rank[g]] = scalar
+            sphere = (rank[estar], rank[e], left, right, rules[rank[estar], rank[e]])
+        self._derived = (items, rules, sphere)
+
+    def _step(self, ranks: tuple[int, ...]):
+        """One rewrite step on a rank-coded word, with the tables of the last
+        _derive_rank_tables: the rule at the leftmost redex or, with none,
+        the scattered sphere step.  Returns (ranks, coefficient) pairs, or
+        None if the word is normal."""
+        _, rules, sphere = self._derived
+        for i in range(len(ranks) - 1):
+            rhs = rules.get(ranks[i:i + 2])
+            if rhs is not None:
+                head, tail = ranks[:i], ranks[i + 2:]
+                return [(head + w + tail, c) for w, c in rhs]
+        if sphere is None:
+            return None
+        # Pulling the pair together creates out-of-order boundary pairs that
+        # the exchange rules would immediately undo, so the sphere rule is
+        # applied in the same composite step.
+        estar, e, left, right, sphere_rhs = sphere
+        if estar not in ranks:
+            return None
+        pos_star = len(ranks) - 1 - ranks[::-1].index(estar)
+        if e not in ranks[pos_star + 1:]:
+            return None
+        pos_e = ranks.index(e, pos_star + 1)
+        mid = ranks[pos_star + 1:pos_e]
+        coeff = ONE
+        split = 0
+        while split < len(mid) and mid[split] in right:
+            coeff = coeff * right[mid[split]]
+            split += 1
+        for g in mid[split:]:
+            if g not in left:
+                raise PresentationError(f"no scalar exchange past {self.generators[g]} "
+                                        "for the eliminated pair")
+            coeff = coeff * left[g]
+        head = ranks[:pos_star] + mid[:split]
+        tail = mid[split:] + ranks[pos_e + 1:]
+        return [(head + w + tail, coeff * c) for w, c in sphere_rhs]
 
     def reduce_word_once(self, word: Word) -> Element | None:
         """Apply one rule at the leftmost redex, or pull a scattered
         eliminated pair together; None if the word is normal."""
-        letters = word.letters
-        for i in range(len(letters) - 1):
-            rhs = self.rules.get((letters[i], letters[i + 1]))
-            if rhs is not None:
-                prefix, suffix = letters[:i], letters[i + 2:]
-                return Element({Word(prefix + rw.letters + suffix): rc
-                                for rw, rc in rhs._terms.items()})
-        if self.eliminated is not None:
-            return self._reduce_scattered(letters)
-        return None
-
-    def _reduce_scattered(self, letters) -> Element | None:
-        # Pulling the pair together creates out-of-order boundary pairs that
-        # the exchange rules would immediately undo, so the sphere rule is
-        # applied in the same composite step.
-        estar, e = self.eliminated
-        pos_star = max((i for i, g in enumerate(letters) if g == estar), default=None)
-        if pos_star is None:
-            return None
-        pos_e = next((i for i in range(pos_star + 1, len(letters)) if letters[i] == e), None)
-        if pos_e is None:
-            return None
-        mid = letters[pos_star + 1:pos_e]
-        coeff = ONE
-        split = 0
-        while split < len(mid) and mid[split] in self.right_scalar:
-            coeff = coeff * self.right_scalar[mid[split]]
-            split += 1
-        for g in mid[split:]:
-            if g not in self.left_scalar:
-                raise PresentationError(f"no scalar exchange past {g} for the eliminated pair")
-            coeff = coeff * self.left_scalar[g]
-        head = letters[:pos_star] + mid[:split]
-        tail = mid[split:] + letters[pos_e + 1:]
-        sphere_rhs = self.rules[self.eliminated]
-        return Element({Word(head + rw.letters + tail): coeff * rc
-                        for rw, rc in sphere_rhs._terms.items()})
+        self._derive_rank_tables()
+        out = self._step(self.ranks(word))
+        return None if out is None else Element({self.word(w): c for w, c in out})
 
     def is_normal_word(self, word: Word) -> bool:
-        letters = word.letters
-        for i in range(len(letters) - 1):
-            if (letters[i], letters[i + 1]) in self.rules:
-                return False
-        if self.eliminated is not None:
-            estar, e = self.eliminated
-            if estar in letters and e in letters:
-                return False
-        return True
+        self._derive_rank_tables()
+        return self._step(self.ranks(word)) is None
 
     # -- build-time validation ---------------------------------------------
 
@@ -345,11 +381,11 @@ class Presentation:
             if not self.contains(g.star()):
                 raise PresentationError(f"generator set not star-closed at {g}")
         for (a, b), rhs in self.rules.items():
-            lhs_key = self.word_key(Word((a, b)))
+            lhs_key = self.word_key((self.rank[a], self.rank[b]))
             # (w,) bounds exactly the keys of weight below w
             bound = lhs_key[:1] if (a, b) == self.eliminated else lhs_key
             for word in rhs.words():
-                if not self.word_key(word) < bound:
+                if not self.word_key(self.ranks(word)) < bound:
                     raise PresentationError(
                         f"rule {a}{b} -> ... does not descend at {word}")
 
@@ -486,7 +522,7 @@ def _orient(p: Presentation, element: Element) -> tuple[tuple[Generator, Generat
     relations contain the eliminated pair, which they would make the
     largest word; interreduction removes it from the right-hand sides.
     """
-    lead = max(element.words(), key=p.word_key)
+    lead = max(element.words(), key=lambda w: p.word_key(p.ranks(w)))
     coeff = element.coeff(lead)
     if coeff.as_monomial() is None:
         raise PresentationError(f"cannot orient relation: leading coefficient {coeff} "
@@ -541,17 +577,6 @@ def _build_presentation(kind: str, n: int, sphere_reduction: bool) -> Presentati
 
     p = Presentation(kind, n, sphere_reduction, gens, rules,
                      eliminated if sphere_reduction else None)
-    if sphere_reduction:
-        estar, e = eliminated
-        for g in gens:
-            if g.starred or g == e:
-                continue
-            left = _scalar_exchange(rules, e, g)
-            if left is not None:
-                p.left_scalar[g] = left
-            right = _scalar_exchange(rules, g, estar)
-            if right is not None:
-                p.right_scalar[g] = right
 
     # Interreduce: rewrite every right-hand side to normal form so that no
     # rule ever reintroduces a reducible word (with sphere reduction on,
@@ -603,40 +628,59 @@ def _default_fuel() -> int:
 
 
 def normalize_steps(e: Element, p: Presentation, fuel: int | None = None) -> tuple[Element, int]:
-    """Normalize and report the number of rule applications used."""
+    """Normalize and report the number of rewrite steps used.
+
+    Words are rank-coded, and the term rewritten next is always the
+    largest pending word in word_key order, popped from a heap that holds
+    one entry per pending word, keyed once when the word first appears.
+    A popped word never returns: `validate` proves that every step yields
+    words strictly below the word it rewrites, and every pending word lies
+    below the popped one.  A word whose coefficient has since cancelled
+    keeps its entry and is skipped when popped.  So the pops, normal forms
+    and step counts are those of taking max(pending, key=word_key) at
+    every step."""
     if fuel is None:
         fuel = _default_fuel()
     if fuel <= 0:
         raise DomainError("fuel must be positive")
-    for word in e.words():
-        for g in word:
-            if not p.contains(g):
-                raise DomainError(f"generator {g} does not belong to the {p.kind} presentation")
+    pending: dict[tuple[int, ...], LaurentPoly] = {}
+    for word, coeff in e._terms.items():
+        try:
+            pending[p.ranks(word)] = coeff
+        except KeyError as err:
+            raise DomainError(f"generator {err.args[0]} does not belong to the "
+                              f"{p.kind} presentation") from None
+    p._derive_rank_tables()
+    step, key = p._step, p.word_key
 
-    pending = dict(e._terms)
-    done: dict[Word, LaurentPoly] = {}
+    def entry(ranks):  # heapq pops its least entry; this reverses word_key
+        weight, length, _ = key(ranks)
+        return -weight, -length, tuple(map(neg, ranks)), ranks
+
+    heap = [entry(ranks) for ranks in pending]
+    heapify(heap)
+    done: dict[tuple[int, ...], LaurentPoly] = {}
     steps = 0
-    while pending:
-        word = max(pending, key=p.word_key)
-        coeff = pending.pop(word)
-        replacement = p.reduce_word_once(word)
+    while heap:
+        ranks = heappop(heap)[3]
+        coeff = pending.pop(ranks)
+        if not coeff:
+            continue
+        replacement = step(ranks)
         if replacement is None:
-            new = done.get(word, LaurentPoly.zero()) + coeff
-            if new:
-                done[word] = new
-            else:
-                done.pop(word, None)
+            done[ranks] = coeff
             continue
         steps += 1
         if steps > fuel:
-            raise RewriteFuelError(word, fuel)
-        for rw, rc in replacement._terms.items():
-            new = pending.get(rw, LaurentPoly.zero()) + coeff * rc
-            if new:
-                pending[rw] = new
+            raise RewriteFuelError(p.word(ranks), fuel)
+        for rw, rc in replacement:
+            old = pending.get(rw)
+            if old is None:
+                pending[rw] = coeff * rc
+                heappush(heap, entry(rw))
             else:
-                pending.pop(rw, None)
-    return Element(done), steps
+                pending[rw] = old + coeff * rc
+    return Element({p.word(ranks): c for ranks, c in done.items()}), steps
 
 
 def normalize(e: Element, p: Presentation, fuel: int | None = None) -> Element:

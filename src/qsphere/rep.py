@@ -38,10 +38,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .algebra import Element, Generator
 from .scalar import DomainError, LaurentPoly, RadicalScalar, RadicalSum, radical_canonicalize
+
+np = lazy_import("numpy")
 
 # Largest truncation (K+1)^n accepted.  Bytes per basis vector in numeric
 # mode, from tracemalloc peaks:

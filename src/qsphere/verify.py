@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .algebra import (
     Element,
     Presentation,
@@ -43,6 +42,8 @@ from .rep import (  # apply_element is kept importable here: perfbench/tracing.p
     shift_table,
 )
 from .scalar import DomainError, LaurentPoly, qpochhammer
+
+np = lazy_import("numpy")
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q

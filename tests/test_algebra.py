@@ -6,6 +6,8 @@ import copy
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsphere.algebra import (
     Element,
@@ -13,6 +15,7 @@ from qsphere.algebra import (
     RewriteFuelError,
     Word,
     normalize,
+    normalize_steps,
     presentation_S,
     presentation_Sigma,
     quotient_map,
@@ -36,6 +39,37 @@ def rand_element(rng, p, max_words=3, max_len=4):
         c = LaurentPoly.q(rng.randint(-2, 2), rng.randint(-3, 3))
         e = e + Element.from_word(w, c)
     return e
+
+
+def normalize_by_max(e, p):
+    """The loop the heap replaced, kept as the oracle for normalize_steps:
+    rescan the pending terms for the word_key maximum at every step."""
+    pending = dict(e._terms)
+    done = {}
+    steps = 0
+    while pending:
+        word = max(pending, key=lambda w: p.word_key(p.ranks(w)))
+        coeff = pending.pop(word)
+        replacement = p.reduce_word_once(word)
+        if replacement is None:
+            new = done.get(word, LaurentPoly.zero()) + coeff
+            if new:
+                done[word] = new
+            else:
+                done.pop(word, None)
+            continue
+        steps += 1
+        for rw, rc in replacement._terms.items():
+            new = pending.get(rw, LaurentPoly.zero()) + coeff * rc
+            if new:
+                pending[rw] = new
+            else:
+                pending.pop(rw, None)
+    return Element(done), steps
+
+
+PRESENTATION_KEYS = [(build, n, sphere) for build in (presentation_S, presentation_Sigma)
+                     for n in (1, 2, 3) for sphere in (True, False)]
 
 
 class TestStar:
@@ -98,17 +132,17 @@ class TestPresentations:
                 for sphere in (True, False):
                     p = build(n, sphere)
                     for (a, b), rhs in p.rules.items():
-                        lhs_key = p.word_key(Word((a, b)))
+                        lhs_key = p.word_key(p.ranks(Word((a, b))))
                         for w in rhs.words():
-                            assert p.word_key(w) < lhs_key, (p, a, b, w)
+                            assert p.word_key(p.ranks(w)) < lhs_key, (p, a, b, w)
 
     @pytest.mark.parametrize("build", [presentation_S, presentation_Sigma])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sphere_rule_is_lighter_than_the_eliminated_pair(self, build, n):
         p = build(n)
-        pair_weight = p.word_key(Word(p.eliminated))[0]
+        pair_weight = p.word_key(p.ranks(Word(p.eliminated)))[0]
         for w in p.rules[p.eliminated].words():
-            assert p.word_key(w)[0] < pair_weight, w
+            assert p.word_key(p.ranks(w))[0] < pair_weight, w
 
     def test_weights(self):
         s = presentation_S(3)
@@ -128,9 +162,9 @@ class TestPresentations:
             (a, b), rhs = rng.choice(rules)
             u = tuple(rng.choice(p.generators) for _ in range(rng.randint(0, 3)))
             v = tuple(rng.choice(p.generators) for _ in range(rng.randint(0, 3)))
-            lhs_key = p.word_key(Word(u + (a, b) + v))
+            lhs_key = p.word_key(p.ranks(Word(u + (a, b) + v)))
             for w in rhs.words():
-                assert p.word_key(Word(u + w.letters + v)) < lhs_key, (u, a, b, w, v)
+                assert p.word_key(p.ranks(Word(u + w.letters + v))) < lhs_key, (u, a, b, w, v)
 
     def test_validate_rejects_a_rule_that_does_not_descend(self):
         p = copy.copy(presentation_Sigma(2, sphere_reduction=False))
@@ -225,6 +259,45 @@ class TestNormalize:
         p = presentation_Sigma(1)
         with pytest.raises(DomainError):
             normalize(Element.of(x(1)), p)
+
+
+class TestHeapAgainstMax:
+    """The heap pops words in the order of max(pending, key=word_key)."""
+
+    @pytest.mark.parametrize("build,n,sphere", PRESENTATION_KEYS)
+    def test_seeded_corpus(self, build, n, sphere):
+        # 40 elements per presentation, 480 over the 12 of them
+        rng = random.Random(f"heap/{build.__name__}/{n}/{sphere}")
+        p = build(n, sphere)
+        for _ in range(40):
+            e = rand_element(rng, p, max_len=5 if build is presentation_S else 6)
+            assert normalize_steps(e, p) == normalize_by_max(e, p), e
+
+    @given(st.sampled_from(PRESENTATION_KEYS).flatmap(lambda key: st.tuples(
+        st.just(key[0](*key[1:])),
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 3), st.lists(st.integers(0, 99), max_size=5)),
+                 min_size=1, max_size=3))))
+    def test_property(self, case):
+        p, terms = case
+        e = Element.zero()
+        for exp, c, picks in terms:
+            word = Word(tuple(p.generators[i % len(p.generators)] for i in picks))
+            e = e + Element.from_word(word, Q(exp, c))
+        e = e * e.star()  # products cancel and repeat words more than random sums
+        assert normalize_steps(e, p) == normalize_by_max(e, p)
+
+    def test_rule_changes_are_seen(self):
+        p = copy.copy(presentation_Sigma(2, sphere_reduction=False))
+        p.rules = dict(p.rules)
+        e = Element.of(y(2), y(1))
+        assert normalize(e, p) == Element.of(y(1), y(2), coeff=Q(-1))
+        # in place, as interreduction assigns p.rules[lhs]
+        p.rules[(y(2), y(1))] = Element.of(y(1), y(2), coeff=Q(5))
+        assert normalize(e, p) == Element.of(y(1), y(2), coeff=Q(5))
+        assert p.reduce_word_once(Word((y(2), y(1)))) == Element.of(y(1), y(2), coeff=Q(5))
+        del p.rules[(y(2), y(1))]
+        assert normalize(e, p) == e
+        assert p.is_normal_word(Word((y(2), y(1))))
 
 
 class TestRelationsClose:

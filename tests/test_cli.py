@@ -4,11 +4,25 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from qsphere.cli import main
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The README's examples, byte for byte
+NORMALIZE_ARGV = ["normalize", "--algebra", "sigma", "--n", "2", "y2 y1"]
+NORMALIZE_OUT = "(q^-1)*y1y2"
+MATRIX_ARGV = ["rep", "matrix", "--n", "1", "--q", "1/2", "--lambda", "1", "--K", "2", "y2"]
+MATRIX_OUT = ('{"algebra":"Sigma","n":1,"K":2,"q":"1/2","lambda":[1,0],"dim":3,'
+              '"basis_order":"lex_k1_major","entries":[[0,0,1,0],[1,1,0.25,0],[2,2,0.0625,0]]}')
 
 
 def run_cli(argv):
@@ -221,3 +235,37 @@ class TestDeterminism:
         first = run_cli(argv)
         second = run_cli(argv)
         assert first == second
+
+
+LAZY_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+import qsphere
+from qsphere import algebra, cli, expr, rep, verify
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+    return [code, out.getvalue(), "numpy._core" in sys.modules, loaded]
+
+print(json.dumps([run(json.loads(sys.argv[1])), run(json.loads(sys.argv[2]))]))
+"""
+
+
+class TestLazyNumpy:
+    def test_normalize_never_runs_numpy(self):
+        # A fresh interpreter: the test process has numpy loaded already.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", LAZY_NUMPY_SCRIPT, json.dumps(NORMALIZE_ARGV),
+                               json.dumps(MATRIX_ARGV)], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        normalized, matrix = json.loads(proc.stdout)
+        assert normalized == [0, NORMALIZE_OUT + "\n", False, []]
+        code, out, _, loaded = matrix
+        assert (code, out) == (0, MATRIX_OUT + "\n")
+        assert loaded  # numpy ran, in the same process
+        readme = (ROOT / "README.md").read_text()
+        assert f"# {NORMALIZE_OUT}\n" in readme
+        assert f"# {MATRIX_OUT}\n" in readme
