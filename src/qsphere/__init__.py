@@ -36,10 +36,7 @@ from .scalar import (
     DomainError,
     LaurentPoly,
     RadicalScalar,
-    RadicalSum,
     cyclotomic,
-    laurent_eval,
-    laurent_mul,
     qpochhammer,
     radical_canonicalize,
 )

@@ -15,19 +15,27 @@ one, and y_{n+1} is diagonal with unitary parameter lambda:
 Raising past the cutoff annihilates the vector, so defining relations are
 only guaranteed on interior indices (all components <= K - 2).
 
-Every generator is therefore a weighted shift: with basis vectors ranked
-lexicographically (k_1 major), `shift_table` gives each source rank one
-target rank, a stride (K+1)^(n-i) away for y_i and y_i*, and one
-amplitude, zero where the image vanishes.  A word acts on many basis
-vectors at once by composing its tables right to left.  Each y_i is
-injective on its support, so the stacked matrices of y_1..y_k have
-orthogonal columns and their rank counts the vectors some y_i does not kill.
+Every generator is therefore a weighted shift, described once by
+`generator_shift`: the slot it moves and in which direction, the weights of
+its prefix exponent, the step (2, or 4 in slot n) and radicand offset (0
+lowering, 1 raising) of its root, and its power of lambda, with
+conj(lambda) = 1/lambda.  The two amplitude modes read that description.
 
-Two amplitude modes are supported.  Numeric mode stores complex doubles,
-computed term by term as scalar complex arithmetic would.  Exact-radical mode
-keeps amplitudes symbolic in q as a Gaussian-rational pair of radical
-sums, so identity checks yield exact zeros; it requires lambda to be an
-exact rational point on the unit circle.
+Numeric mode evaluates it at q0 and lambda into `shift_table`: with basis
+vectors ranked lexicographically (k_1 major), each source rank gets one
+target rank, a stride (K+1)^(n-i) away for y_i and y_i*, and one complex
+amplitude, zero where the image vanishes, computed term by term as scalar
+complex arithmetic would.  A word acts on many basis vectors at once by
+composing its tables right to left.  Each y_i is injective on its support,
+so the stacked matrices of y_1..y_k have orthogonal columns and their rank
+counts the vectors some y_i does not kill.
+
+Exact mode keeps no tables: `generic_image` applies an element to a generic
+basis vector |k> of the untruncated space, with t_i = q^(k_i) symbolic, so
+that `qsphere.verify` proves an identity for every cutoff, q0 and unit
+lambda at once.  An exact configuration still names an exact rational
+lambda on the unit circle.  State vectors, `apply_element` and `matrix`
+are numeric.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from itertools import product
 
 from ._lazy import lazy_import
 from .algebra import Element, Generator
-from .scalar import DomainError, LaurentPoly, RadicalScalar, RadicalSum, radical_canonicalize
+from .scalar import DomainError, radical_canonicalize  # radical_canonicalize: perfbench/tracing.py wraps it
 
 np = lazy_import("numpy")
 
@@ -53,8 +61,6 @@ np = lazy_import("numpy")
 # so under 160 + 384 + 1500 B ~ 2 KiB per vector, and 2^20 vectors keep a
 # run within 2 GiB.
 MAX_DIM = 2**20
-
-ONE, ZERO = LaurentPoly.one(), LaurentPoly.zero()
 
 _EXACT_COMPLEX = {1 + 0j: (Fraction(1), Fraction(0)),
                   -1 + 0j: (Fraction(-1), Fraction(0)),
@@ -139,45 +145,9 @@ def is_interior(k: tuple[int, ...], c: RepConfig, margin: int = 2) -> bool:
     return all(ki <= c.K - margin for ki in k)
 
 
-class ExactAmp:
-    """A Gaussian-rational amplitude: (re + i*im) with RadicalSum parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: RadicalSum, im: RadicalSum):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def one(cls) -> ExactAmp:
-        return cls(RadicalSum.one(), RadicalSum.zero())
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def parts(self) -> list[tuple]:
-        """The amplitude as factors (root, re, im), one per root of each part."""
-        return ([(root, p, ZERO) for root, p in self.re.items()]
-                + [(root, ZERO, p) for root, p in self.im.items()])
-
-    def evaluate(self, q0) -> complex:
-        return complex(self.re.evaluate(q0), self.im.evaluate(q0))
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactAmp):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __str__(self):
-        return f"({self.re}) + i*({self.im})"
-
-    __repr__ = __str__
-
-
 @dataclass
 class StateVector:
-    """Sparse vector on the truncated basis; amplitudes are complex numbers
-    in numeric mode and ExactAmp values in exact mode."""
+    """Sparse vector on the truncated basis with complex amplitudes."""
 
     mode: str
     amplitudes: dict[tuple[int, ...], object] = field(default_factory=dict)
@@ -189,15 +159,95 @@ class StateVector:
         return sorted(self.amplitudes.items())
 
 
+def _require_numeric(c: RepConfig):
+    if c.mode == "exact":
+        raise DomainError("state vectors are numeric: exact mode is only honoured "
+                          "by the relations check of qsphere.verify")
+
+
 def basis_state(c: RepConfig, k: tuple[int, ...]) -> StateVector:
+    _require_numeric(c)
     k = tuple(k)
     if len(k) != c.n or any(ki < 0 or ki > c.K for ki in k):
         raise DomainError(f"index {k} outside the truncated basis")
-    amp = ExactAmp.one() if c.mode == "exact" else complex(1.0)
-    return StateVector(c.mode, {k: amp})
+    return StateVector(c.mode, {k: complex(1.0)})
 
 
-# -- shift tables ---------------------------------------------------------------
+# -- generators as weighted shifts ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class WeightedShift:
+    """One generator acting on |k>, with t_i = q^(k_i):
+
+        g |k> = lambda^power q^(prefix . k) sqrt(1 - q^(step (k_slot + offset))) |k + move e_slot>
+
+    slot counts from 0; there is no root when step is 0, and power -1
+    stands for conj(lambda) = 1/lambda."""
+
+    slot: int
+    move: int
+    prefix: tuple[int, ...]
+    step: int
+    offset: int
+    power: int
+
+
+def generator_shift(n: int, g: Generator) -> WeightedShift:
+    """The weighted shift of g in the rank-n representation (module docstring)."""
+    if g.family != "y" or not 1 <= g.index <= n + 1:
+        raise DomainError(f"generator {g} does not act in the rank-{n} representation")
+    i, up = g.index, int(g.starred)
+    if i == n + 1:
+        return WeightedShift(n - 1, 0, (1,) * (n - 1) + (2,), 0, 0, 1 - 2 * up)
+    return WeightedShift(i - 1, 2 * up - 1, (1,) * (i - 1) + (0,) * (n - i + 1),
+                         4 if i == n else 2, up, 0)
+
+
+def _times_atom(poly: dict, atom: tuple[int, int, int]) -> dict:
+    """poly * (1 - q^a t_i^s) for the atom (i, a, s)."""
+    i, a, s = atom
+    out = dict(poly)
+    for exps, coeff in poly.items():
+        moved = list(exps)
+        moved[0] += a
+        moved[i] += s
+        moved = tuple(moved)
+        out[moved] = out.get(moved, 0) - coeff
+    return out
+
+
+def generic_image(e: Element, n: int) -> dict:
+    """e |k> for a generic index k of the untruncated rank-n space, read from
+    `generator_shift`, as {(d, root): coefficient}: the image is the sum of
+    coefficient * prod_{atom in root} sqrt(atom) |k + d>.  An atom (i, a, s)
+    stands for 1 - q^a t_i^s, and one that a word meets twice is multiplied
+    out.  A coefficient is a Laurent polynomial in (q, t_1..t_n, lambda),
+    a dict from exponent tuple to nonzero rational; zero ones are dropped."""
+    total: dict[tuple, dict] = {}
+    for word, coeff in e.items():
+        d, mono, root, squared = [0] * n, [0] * (n + 2), set(), []
+        for g in reversed(word.letters):
+            s = generator_shift(n, g)
+            mono[0] += sum(w * dj for w, dj in zip(s.prefix, d))
+            mono[1:n + 1] = [m + w for m, w in zip(mono[1:n + 1], s.prefix)]
+            mono[n + 1] += s.power
+            if s.step:
+                atom = (s.slot + 1, s.step * (d[s.slot] + s.offset), s.step)
+                if atom in root:
+                    root.remove(atom)
+                    squared.append(atom)
+                else:
+                    root.add(atom)
+            d[s.slot] += s.move
+        poly = {(exp + mono[0], *mono[1:]): c for exp, c in coeff.items()}
+        for atom in squared:
+            poly = _times_atom(poly, atom)
+        acc = total.setdefault((tuple(d), frozenset(root)), {})
+        for exps, c in poly.items():
+            acc[exps] = acc.get(exps, 0) + c
+    images = {key: {exps: c for exps, c in acc.items() if c} for key, acc in total.items()}
+    return {key: coeff for key, coeff in images.items() if coeff}
 
 
 def _cmul(ar, ai, br, bi):
@@ -209,44 +259,23 @@ def _cmul(ar, ai, br, bi):
 
 @lru_cache(maxsize=16)
 def shift_table(c: RepConfig, g: Generator):
-    """(target, amp) for one generator, cached for the last few configurations:
-    source rank r goes to target[r] with amplitude amp[r].  Numeric tables
-    are arrays, amp complex and zero where the image vanishes; exact tables
-    are lists, amp[r] a factor (root, re, im) standing for (re + i im)
-    sqrt(root) with Laurent re and im, or None where the image vanishes."""
-    if g.family != "y" or not 1 <= g.index <= c.n + 1:
-        raise DomainError(f"generator {g} does not act in the rank-{c.n} representation")
-    n, K, q0, i = c.n, c.K, c.q0, g.index
+    """(target, amp) arrays for one generator, cached for the last few
+    configurations: source rank r goes to target[r] with complex amplitude
+    amp[r], zero where the image vanishes."""
+    s = generator_shift(c.n, g)
     ranks, k = np.arange(c.dim), fock_array(c)
-    if i == n + 1:
-        target, exps = ranks, k.sum(axis=1) + k[:, -1]
-    else:
-        step, ki, stride = (4 if i == n else 2), k[:, i - 1], (K + 1) ** (n - i)
-        alive, radicand = (ki < K, ki + 1) if g.starred else (ki > 0, ki)
-        target = np.where(alive, ranks + (stride if g.starred else -stride), ranks)
-        prefix = k[:, : i - 1].sum(axis=1)
-
-    if c.mode == "exact":
-        shared = {}  # one factor object per distinct amplitude keeps the cache small
-        if i == n + 1:
-            re, im = c.lam_exact[0], -c.lam_exact[1] if g.starred else c.lam_exact[1]
-            amp = [shared.setdefault(e, (frozenset(), LaurentPoly.q(e, re), LaurentPoly.q(e, im)))
-                   for e in exps.tolist()]
-        else:
-            roots = [None] + [radical_canonicalize([step * s]) for s in range(1, K + 2)]
-            amp = [shared.setdefault((s, p), (roots[s].root, roots[s].poly * LaurentPoly.q(p), ZERO))
-                   if live else None for live, s, p in zip(alive.tolist(), radicand.tolist(), prefix.tolist())]
-        return target.tolist(), amp
-
-    powers = np.array([float(q0 ** e) for e in range((n + 1) * K + 1)])
-    if i == n + 1:
-        lam = c.lam.conjugate() if g.starred else c.lam
-        re, im = _cmul(lam.real, lam.imag, powers[exps], 0.0)
-    else:
-        roots = np.array([math.sqrt(float(1 - q0 ** (step * s))) for s in range(K + 2)])
-        re, im = np.where(alive, powers[prefix] * roots[radicand], 0.0), 0.0
+    ki = k[:, s.slot]
+    alive = (ki + s.move >= 0) & (ki + s.move <= c.K)
+    target = np.where(alive, ranks + s.move * (c.K + 1) ** (c.n - 1 - s.slot), ranks)
+    exps = k @ np.array(s.prefix)
+    powers = np.array([float(c.q0 ** e) for e in range(int(exps.max()) + 1)])
+    scale = powers[exps]
+    if s.step:
+        roots = np.array([math.sqrt(float(1 - c.q0 ** (s.step * r))) for r in range(c.K + 2)])
+        scale = np.where(alive, scale * roots[ki + s.offset], 0.0)
+    lam = complex(1) if not s.power else c.lam if s.power > 0 else c.lam.conjugate()
     amp = np.empty(c.dim, dtype=complex)
-    amp.real, amp.imag = re, im
+    amp.real, amp.imag = _cmul(lam.real, lam.imag, scale, 0.0)
     target.flags.writeable = amp.flags.writeable = False  # shared through the cache
     return target, amp
 
@@ -254,8 +283,8 @@ def shift_table(c: RepConfig, g: Generator):
 def _numeric_action(e: Element, src: np.ndarray, amps: np.ndarray, c: RepConfig, stride: int):
     """Each word of e, times its coefficient, acting right to left on every
     amps[j] |src[j]> at once.  Images are summed per key j * stride + target
-    rank in word order; as in exact mode, a sum that reaches zero drops its
-    key and the next term starts it afresh.  Returns sorted keys and sums."""
+    rank in word order; a sum that reaches zero drops its key and the next
+    term starts it afresh.  Returns sorted keys and sums."""
     parts = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
     for word, coeff in e.items():
         pos, rows, re, im = np.arange(len(src)), src, amps.real, amps.imag
@@ -282,63 +311,15 @@ def _numeric_action(e: Element, src: np.ndarray, amps: np.ndarray, c: RepConfig,
     return keys[first[live]], values
 
 
-def _gauss_mul(a: tuple, b: tuple) -> tuple:
-    """The product of two factors (root, re, im); shared atoms fold into re and im."""
-    (ra, xa, ya), (rb, xb, yb) = a, b
-    re = xa * xb if xa and xb else ZERO
-    im = xa * yb if xa and yb else ZERO
-    if ya:
-        re, im = (re - ya * yb if yb else re), (im + ya * xb if xb else im)
-    if shared := ra & rb:
-        g = max(shared)
-        full = shared == {d for d in range(1, g + 1) if g % d == 0}  # atoms of 1 - q^g
-        fold = ONE - LaurentPoly.q(g) if full else RadicalScalar(ONE, shared).root_poly()
-        re, im = (re * fold if re else re), (im * fold if im else im)
-    return ra ^ rb, re, im
-
-
-def exact_action(e: Element, sources, c: RepConfig):
-    """Exact images of e, one source at a time: for each (rank, parts), parts
-    the factors (root, re, im) of a source amplitude a, yield e (a |rank>) as
-    {target rank: ExactAmp}, zero amplitudes dropped.  Words act right to left
-    with symbolic coefficients.  Each word's tables are fetched once per call;
-    its factors times its coefficient have one root, so they are carried as
-    one factor and each part multiplies in once."""
-    words = [(coeff, [shift_table(c, g) for g in reversed(word.letters)]) for word, coeff in e.items()]
-    for source, parts in sources:
-        total: dict[int, tuple[dict, dict]] = {}  # target rank -> re and im parts by root
-        for coeff, tables in words:
-            rank, factor = source, (frozenset(), coeff, ZERO)
-            for target, amp in tables:
-                if amp[rank] is None:
-                    break
-                factor = _gauss_mul(factor, amp[rank])
-                rank = target[rank]
-            else:
-                re_acc, im_acc = total.setdefault(rank, ({}, {}))
-                for part in parts:
-                    root, re, im = _gauss_mul(factor, part)
-                    re_acc[root] = re_acc[root] + re if root in re_acc else re
-                    im_acc[root] = im_acc[root] + im if root in im_acc else im
-        amps = {r: ExactAmp(RadicalSum(re), RadicalSum(im)) for r, (re, im) in total.items()}
-        yield {r: a for r, a in amps.items() if not a.is_zero()}
-
-
 def apply_element(e: Element, v: StateVector, c: RepConfig) -> StateVector:
-    """Act with an element: words act right to left, coefficients are kept
-    symbolic in exact mode and evaluated at q0 in numeric mode.  Exact mode
-    sums the images of the basis vectors of v from `exact_action`."""
-    if c.mode == "numeric":
-        src = np.array([rank_of(k, c) for k in v.amplitudes], dtype=np.int64)
-        amps = np.array(list(v.amplitudes.values()), dtype=complex)
-        rows, values = _numeric_action(e, src, amps, c, 0)
-        indices = map(tuple, fock_array(c)[rows].tolist())
-        return StateVector(c.mode, dict(zip(indices, values.tolist())))
-    total: dict[int, ExactAmp] = {}
-    for image in exact_action(e, [(rank_of(k, c), a.parts()) for k, a in v.amplitudes.items()], c):
-        for r, a in image.items():
-            total[r] = ExactAmp(total[r].re + a.re, total[r].im + a.im) if r in total else a
-    return StateVector(c.mode, {index_of(r, c): a for r, a in total.items() if not a.is_zero()})
+    """Act with an element on a numeric state: words act right to left and
+    coefficients are evaluated at q0."""
+    _require_numeric(c)
+    src = np.array([rank_of(k, c) for k in v.amplitudes], dtype=np.int64)
+    amps = np.array(list(v.amplitudes.values()), dtype=complex)
+    rows, values = _numeric_action(e, src, amps, c, 0)
+    indices = map(tuple, fock_array(c)[rows].tolist())
+    return StateVector(c.mode, dict(zip(indices, values.tolist())))
 
 
 def apply_generator(g: Generator, v: StateVector, c: RepConfig) -> StateVector:

@@ -1,6 +1,6 @@
 """Exact coefficient arithmetic for the symbolic layer.
 
-Three kinds of scalars live here:
+Two kinds of scalars live here:
 
 * ``LaurentPoly`` -- Laurent polynomials in the deformation parameter q
   with rational coefficients.  Every relation coefficient of the two
@@ -9,8 +9,6 @@ Three kinds of scalars live here:
 * ``RadicalScalar`` -- a Laurent polynomial times the square root of a
   square-free product of cyclotomic-type atoms.  Matrix entries of the
   truncated representations, such as sqrt(1 - q^(2k)), are of this form.
-* ``RadicalSum`` -- a formal sum of radical scalars with distinct root
-  signatures, closed under addition.
 
 Radical atoms are keyed by cyclotomic factorisation: 1 - q^s splits as
 the product of (1 - q) and the cyclotomic polynomials Phi_d for the
@@ -301,16 +299,6 @@ class LaurentPoly:
         return result
 
 
-def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact product of two Laurent polynomials."""
-    return a * b
-
-
-def laurent_eval(a: LaurentPoly, q0) -> Fraction:
-    """Exact evaluation at rational q0 in (0, 1)."""
-    return a.evaluate(q0)
-
-
 def qpochhammer(a: LaurentPoly, b: LaurentPoly, ell: int) -> LaurentPoly:
     """The q-shifted factorial (a; b)_ell = prod_{i=0}^{ell-1} (1 - a*b^i)."""
     if ell < 0:
@@ -392,10 +380,6 @@ class RadicalScalar:
     def __init__(self, poly: LaurentPoly, root=frozenset()):
         self.poly = poly if poly else LaurentPoly.zero()
         self.root = frozenset() if not poly else frozenset(root)
-
-    @classmethod
-    def from_poly(cls, poly: LaurentPoly) -> RadicalScalar:
-        return cls(poly, frozenset())
 
     @classmethod
     def one(cls) -> RadicalScalar:
@@ -482,101 +466,3 @@ def radical_canonicalize(factors) -> RadicalScalar:
             raise DomainError("radical exponent must be >= 1")
         atoms.extend(_divisors(s))
     return radical_from_cyclotomic(atoms)
-
-
-class RadicalSum:
-    """A formal sum of RadicalScalars keyed by root signature.
-
-    Distinct signatures are never merged; zero coefficients are dropped,
-    so signature-wise equality is the canonical equality test.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        data: dict[frozenset, LaurentPoly] = {}
-        if terms:
-            for root, poly in terms.items():
-                if poly:
-                    data[frozenset(root)] = poly
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> RadicalSum:
-        return cls()
-
-    @classmethod
-    def from_scalar(cls, rs: RadicalScalar) -> RadicalSum:
-        return cls({rs.root: rs.poly})
-
-    @classmethod
-    def from_poly(cls, poly: LaurentPoly) -> RadicalSum:
-        return cls({frozenset(): poly})
-
-    @classmethod
-    def one(cls) -> RadicalSum:
-        return cls.from_poly(LaurentPoly.one())
-
-    def items(self):
-        return sorted(self._terms.items(), key=lambda kv: sorted(kv[0]))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other):
-        if isinstance(other, RadicalScalar):
-            other = RadicalSum.from_scalar(other)
-        if not isinstance(other, RadicalSum):
-            return NotImplemented
-        terms = dict(self._terms)
-        for root, poly in other._terms.items():
-            new = terms.get(root, LaurentPoly.zero()) + poly
-            if new:
-                terms[root] = new
-            else:
-                terms.pop(root, None)
-        out = RadicalSum.__new__(RadicalSum)
-        out._terms = terms
-        return out
-
-    def __neg__(self):
-        out = RadicalSum.__new__(RadicalSum)
-        out._terms = {r: -p for r, p in self._terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, RadicalScalar):
-            other = RadicalSum.from_scalar(other)
-        if not isinstance(other, RadicalSum):
-            return NotImplemented
-        return self + (-other)
-
-    def mul_scalar(self, rs: RadicalScalar) -> RadicalSum:
-        out = RadicalSum.zero()
-        for root, poly in self._terms.items():
-            term = RadicalScalar(poly, root) * rs
-            out = out + term
-        return out
-
-    def mul_poly(self, poly: LaurentPoly) -> RadicalSum:
-        return RadicalSum({r: p * poly for r, p in self._terms.items()})
-
-    def evaluate(self, q0) -> float:
-        return sum(RadicalScalar(p, r).evaluate(q0) for r, p in self._terms.items())
-
-    def __eq__(self, other):
-        if isinstance(other, RadicalScalar):
-            other = RadicalSum.from_scalar(other)
-        if not isinstance(other, RadicalSum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset((r, p) for r, p in self._terms.items()))
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        return " + ".join(str(RadicalScalar(p, r)) for r, p in self.items())
-
-    __repr__ = __str__

@@ -7,11 +7,36 @@ and rebuild the orthonormal basis from the lowest-weight vector.  Each
 check returns a CheckReport with the worst residual and the failing
 witnesses, serializable as JSON.
 
-Exact-mode zeros are exact: square roots of distinct square-free products
-of pairwise non-associate irreducibles, such as the radical atoms 1 - q
-and Phi_d, are linearly independent over Q(q), so a radical sum is zero
-exactly when each of its coefficients is.  A nonzero residual is sized
-numerically at three rational points of (0, 1).
+Exact mode proves the relations in the representation instead of
+sampling one truncation.  On a generic basis vector |k> of the untruncated
+space, with t_i = q^(k_i), each generator maps |k> to one vector |k + d>
+with amplitude lambda^p times a monomial in q and t times at most one atom
+sqrt(1 - q^a t_i^s), s = 2, or 4 in slot n (`rep.generator_shift`).  So a
+relation maps |k> to a finite sum, over shifts d and sets of atoms left
+under the root once repeated atoms are squared, of a Laurent polynomial in
+(q, t_1..t_n, lambda) times the square roots of those atoms
+(`rep.generic_image`), with conj(lambda) = 1/lambda.  When every such
+coefficient is the zero polynomial, the relation holds on every |k> for
+every q0 in (0, 1) and every unit lambda.  Conversely a nonzero coefficient
+is a genuine failure, by this independence theorem: square roots of
+distinct products of squarefree, pairwise coprime polynomials are linearly
+independent over Q(q, t_1..t_n, lambda).  Up to a power of q, the atoms
+are such polynomials.  Neither t_i nor a nonconstant polynomial in q alone
+divides 1 - q^a t_i^s.  It is squarefree: its t_i-derivative
+-s q^a t_i^(s-1) shares no factor with it.  Two atoms of one slot are coprime, since their difference
+is t_i^s times a polynomial in q alone, and atoms of different slots share
+no variable t_i.  A nonzero combination of independent roots cannot vanish
+on the Zariski-dense points q in (0, 1), t_i = q^(k_i), |lambda| = 1.
+
+The boundary and the cutoff are covered.  At k_i = 0 the lowering atom
+sqrt(1 - t_i^s) vanishes, as the representation kills the vector, and the
+factors after it stay finite, so the generic formula holds on every k in
+N^n.  The relations have words of
+length at most 2, so on an interior vector (every k_i <= K - 2) the
+truncation at K acts as the untruncated representation does; so it does
+on every vector for the sphere relation, whose words lower before they
+raise.  The proof therefore holds for every K at once.  A failure names
+the relation, the shift d, the root atoms and the nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -33,15 +58,14 @@ from .algebra import (
     y,
 )
 from .rep import (  # apply_element is kept importable here: perfbench/tracing.py wraps it
-    ExactAmp,
     RepConfig,
     apply_element,
-    exact_action,
     fock_array,
+    generic_image,
     matrix,
     shift_table,
 )
-from .scalar import DomainError, LaurentPoly, qpochhammer
+from .scalar import DomainError, LaurentPoly, qpochhammer  # qpochhammer: perfbench/tracing.py wraps it
 
 np = lazy_import("numpy")
 
@@ -354,8 +378,12 @@ def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
             amp[more] *= factor[rank[more]]
             rank[more] = target[rank[more]]
 
-    pochhammer = {(step, ki): qpochhammer(Q(step), Q(step), ki).evaluate(cn.q0)
-                  for step in (2, 4) for ki in range(K)}
+    pochhammer = {}  # (q^s;q^s)_k at q0, exactly, as a running product
+    for step in (2, 4):
+        value = Fraction(1)
+        for ki in range(K):
+            pochhammer[step, ki] = value
+            value *= 1 - cn.q0 ** (step * (ki + 1))
     norms = [float(math.prod(pochhammer[4 if i == n else 2, ki] for i, ki in enumerate(k, 1)))
              for k in indices[grid].tolist()]
     values = amp / np.sqrt(norms)
@@ -374,38 +402,78 @@ def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
     return report
 
 
+def _monomial_text(exps, names) -> str:
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e) or "1"
+
+
+def _laurent_text(poly: dict, names) -> str:
+    """A Laurent polynomial in several variables, terms in exponent order."""
+    terms = []
+    for exps, c in sorted(poly.items()):
+        mono = _monomial_text(exps, names)
+        if mono == "1":
+            terms.append(str(c))
+        elif c in (1, -1):
+            terms.append(mono if c == 1 else "-" + mono)
+        else:
+            terms.append(f"{c}*{mono}")
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def _atom_text(atom: tuple[int, int, int], names) -> str:
+    i, a, s = atom
+    exps = [0] * len(names)
+    exps[0], exps[i] = a, s
+    return f"sqrt(1 - {_monomial_text(exps, names)})"
+
+
+def prove_relations_in_rep(n: int) -> list[dict]:
+    """Witnesses against the defining relations on a generic basis vector
+    (see the module docstring): none proves every relation on every |k>,
+    for every cutoff K, q0 in (0, 1) and unit lambda.  A witness names the
+    relation, the shift, the atoms under the root and the nonzero
+    coefficient; its residual is the largest coefficient magnitude."""
+    names = ("q", *(f"t{i}" for i in range(1, n + 1)), "lambda")
+    witnesses = []
+    for name, rel in relations_Sigma(n):
+        image = generic_image(rel, n)
+        for shift, root in sorted(image, key=lambda key: (key[0], sorted(key[1]))):
+            coeff = image[shift, root]
+            witnesses.append({"relation": name, "shift": list(shift),
+                              "root": [_atom_text(atom, names) for atom in sorted(root)],
+                              "coefficient": _laurent_text(coeff, names),
+                              "residual": float(max(abs(c) for c in coeff.values()))})
+    return witnesses
+
+
 def check_relations_in_rep(c: RepConfig, p: Presentation) -> CheckReport:
-    """Apply every raw defining relation to every interior basis vector
-    (the sphere relation to every vector); residuals must vanish exactly
-    in exact mode and within 1e-12 in numeric mode.  Numeric mode reads all
-    columns from each relation's matrix; exact mode streams the columns of
-    each relation through one `exact_action` call, one column in memory at a
-    time, and evaluates the guard points only on nonzero columns."""
+    """Every raw defining relation must vanish on every interior basis
+    vector (the sphere relation on every vector).  Exact mode proves this
+    for every K, q0 and unit lambda at once (`prove_relations_in_rep`);
+    numeric mode reads all columns from each relation's matrix and demands
+    residuals within 1e-12."""
     if p.kind != "Sigma" or p.n != c.n:
         raise DomainError("relations are checked in the matching Sigma presentation")
     if p.sphere_reduction:
         raise DomainError("relations are checked raw: use a sphere-off presentation")
     if c.K < 2:
         raise DomainError("interior checks need K >= 2")
-    tolerance = 0.0 if c.mode == "exact" else NUMERIC_TOL
-    report = CheckReport("relations_in_rep", _rep_params(c), tolerance=tolerance)
+    if c.mode == "exact":
+        report = CheckReport("relations_in_rep", _rep_params(c), tolerance=0.0,
+                             witnesses=prove_relations_in_rep(c.n))
+        report.max_residual = max((w["residual"] for w in report.witnesses), default=0.0)
+        return report
+    report = CheckReport("relations_in_rep", _rep_params(c), tolerance=NUMERIC_TOL)
     indices = fock_array(c)
     interior = np.flatnonzero(np.all(indices <= c.K - 2, axis=1))
-    unit = ExactAmp.one().parts()
     for name, rel in relations_Sigma(c.n):
         ranks = (np.arange(c.dim) if name.startswith("sphere") else interior).tolist()
-        if c.mode == "numeric":
-            m = matrix(rel, c)
-            worst = np.zeros(c.dim)
-            np.maximum.at(worst, m.cols, np.hypot(m.values.real, m.values.imag))
-            found = zip(ranks, worst[ranks].tolist())
-        else:
-            columns = exact_action(rel, ((r, unit) for r in ranks), c)
-            found = [(r, max(abs(a.evaluate(q0)) for q0 in GUARD_POINTS for a in column.values()))
-                     for r, column in zip(ranks, columns) if column]
-        for rank, residual in found:
+        m = matrix(rel, c)
+        worst = np.zeros(c.dim)
+        np.maximum.at(worst, m.cols, np.hypot(m.values.real, m.values.imag))
+        for rank, residual in zip(ranks, worst[ranks].tolist()):
             report.max_residual = max(report.max_residual, residual)
-            if residual > tolerance or c.mode == "exact":
+            if residual > NUMERIC_TOL:
                 report.witnesses.append({"relation": name, "k": indices[rank].tolist(),
                                          "residual": residual})
     return report

@@ -10,13 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from qsphere.algebra import Element, Word, normalize, presentation_Sigma, relations_Sigma, y
 from qsphere.expr import parse
 import qsphere.rep as rep_mod
 from qsphere.rep import (
-    ExactAmp,
     RepConfig,
+    generic_image,
     SparseMatrix,
     StateVector,
     apply_element,
@@ -30,8 +31,8 @@ from qsphere.rep import (
     rank_of,
     yn1_spectrum,
 )
-from qsphere.scalar import DomainError, LaurentPoly, RadicalScalar, RadicalSum
-from qsphere.verify import GUARD_POINTS, check_relations_in_rep
+from qsphere.scalar import DomainError, LaurentPoly
+from qsphere.verify import check_relations_in_rep
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q
@@ -133,18 +134,12 @@ class TestApplyGenerator:
         with pytest.raises(DomainError):
             apply_generator(y(3), basis_state(c, (0,)), c)
 
-    def test_exact_matches_numeric(self):
-        ce = cfg(n=2, K=3, lam=1j, mode="exact")
-        cn = cfg(n=2, K=3, lam=1j, mode="numeric")
-        rng = random.Random(3)
-        for _ in range(20):
-            k = tuple(rng.randint(0, 3) for _ in range(2))
-            g = y(rng.randint(1, 3), rng.random() < 0.5)
-            ve = apply_generator(g, basis_state(ce, k), ce)
-            vn = apply_generator(g, basis_state(cn, k), cn)
-            assert set(ve.amplitudes) == set(vn.amplitudes)
-            for kk, amp in ve.amplitudes.items():
-                assert abs(amp.evaluate(HALF) - vn.amplitudes[kk]) < 1e-13
+    def test_exact_config_is_refused(self):
+        ce, cn = cfg(n=2, K=3, mode="exact"), cfg(n=2, K=3)
+        with pytest.raises(DomainError, match="numeric"):
+            basis_state(ce, (0, 0))
+        with pytest.raises(DomainError, match="numeric"):
+            apply_generator(y(1, True), basis_state(cn, (0, 0)), ce)
 
 
 class TestApplyElement:
@@ -169,16 +164,6 @@ class TestApplyElement:
         assert set(out.amplitudes) == {(0,)}
         assert abs(out.amplitudes[(0,)] - 15 / 16) < 1e-15
 
-    def test_exact_sphere_sum(self):
-        c = cfg(n=1, K=4, mode="exact")
-        e = sphere_element(1)
-        for k in fock_indices(c):
-            out = apply_element(e, basis_state(c, k), c)
-            assert set(out.amplitudes) == {k}
-            amp = out.amplitudes[k]
-            assert amp.im.is_zero()
-            assert amp.re == __import__("qsphere.scalar", fromlist=["RadicalSum"]).RadicalSum.one()
-
     def test_representation_property(self):
         rng = random.Random(55)
         p = presentation_Sigma(2)
@@ -197,24 +182,6 @@ class TestApplyElement:
                 for kk in keys:
                     diff = lhs.amplitudes.get(kk, 0) - rhs.amplitudes.get(kk, 0)
                     assert abs(diff) < 1e-12
-
-    def test_representation_property_exact(self):
-        rng = random.Random(58)
-        p = presentation_Sigma(1)
-        c = cfg(n=1, K=4, lam=1j, mode="exact")
-        gens = p.generators
-        for _ in range(10):
-            a = Element.from_word(Word(tuple(rng.choice(gens) for _ in range(rng.randint(1, 2)))))
-            b = Element.from_word(Word(tuple(rng.choice(gens) for _ in range(rng.randint(1, 2)))))
-            for k in fock_indices(c):
-                if not is_interior(k, c):
-                    continue
-                v = basis_state(c, k)
-                lhs = apply_element(a * b, v, c)
-                rhs = apply_element(a, apply_element(b, v, c), c)
-                assert set(lhs.amplitudes) == set(rhs.amplitudes)
-                for kk in lhs.amplitudes:
-                    assert lhs.amplitudes[kk] == rhs.amplitudes[kk]
 
     def test_normal_form_compatibility(self):
         rng = random.Random(77)
@@ -426,125 +393,51 @@ class TestAgainstReference:
         assert '"entries":[[0,0,1,-0]' in text
 
 
-# -- the per-generator ExactAmp product, kept as the reference for exact mode ----
+# -- the module docstring's formulas in sympy, the reference for generic_image ----
 
 
-def _reference_times(a, factor):
-    """a times one table factor (root, re, im), on RadicalSum pairs."""
-    root, re, im = factor
-    fre, fim = RadicalScalar(re, root), RadicalScalar(im, root)
-    return ExactAmp(a.re.mul_scalar(fre) - a.im.mul_scalar(fim),
-                    a.re.mul_scalar(fim) + a.im.mul_scalar(fre))
-
-
-def _reference_apply_exact(e, v, c):
-    """e v one generator at a time, each image an ExactAmp, summed per target."""
-    total = {}
+def _sympy_image(e, n, q, t, lam):
+    """e|k> with t_i = q^(k_i), letter by letter from the closed-form
+    weights of the module docstring: {shift d: amplitude of |k + d>}."""
+    out = {}
     for word, coeff in e.items():
-        items = [(rank_of(k, c), amp) for k, amp in v.amplitudes.items()]
+        d, amp = [0] * n, sum(c * q**x for x, c in coeff.items())
         for g in reversed(word.letters):
-            target, amp = rep_mod.shift_table(c, g)
-            items = [(target[r], _reference_times(a, amp[r])) for r, a in items if amp[r] is not None]
-        for r, a in items:
-            a = ExactAmp(a.re.mul_poly(coeff), a.im.mul_poly(coeff))
-            total[r] = ExactAmp(total[r].re + a.re, total[r].im + a.im) if r in total else a
-            if total[r].is_zero():
-                del total[r]
-    return StateVector(c.mode, {index_of(r, c): amp for r, amp in total.items()})
+            tk = [q**dj * tj for dj, tj in zip(d, t)]  # q^(k_j + d_j)
+            i = g.index
+            if i == n + 1:
+                amp *= (1 / lam if g.starred else lam) * sympy.Mul(*tk) * tk[-1]
+            else:
+                step, ki = (4 if i == n else 2), (q * tk[i - 1] if g.starred else tk[i - 1])
+                amp *= sympy.Mul(*tk[: i - 1]) * sympy.sqrt(1 - ki**step)
+                d[i - 1] += 1 if g.starred else -1
+        out[tuple(d)] = out.get(tuple(d), 0) + amp
+    return out
 
 
-def _reference_relations(c):
-    """(max_residual, witnesses) of the exact relations check, from
-    _reference_apply_exact on each interior basis vector (each vector for
-    the sphere relation)."""
-    worst, witnesses = 0.0, []
-    for name, rel in relations_Sigma(c.n):
-        for k in fock_indices(c):
-            if not (name.startswith("sphere") or is_interior(k, c)):
-                continue
-            out = _reference_apply_exact(rel, basis_state(c, k), c)
-            if not out.is_zero():
-                residual = max(abs(a.evaluate(q0)) for q0 in GUARD_POINTS
-                               for a in out.amplitudes.values())
-                worst = max(worst, residual)
-                witnesses.append({"relation": name, "k": list(k), "residual": residual})
-    return worst, witnesses
-
-
-def _random_exact_state(rng, c):
-    """A few basis vectors with amplitudes spread over several radical roots."""
-    roots = [frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 2, 4})]
-    polys = (ONE, -ONE, Q(1), ONE - Q(2), Q(-1) * Fraction(3, 2))
-
-    def radical_sum():
-        return RadicalSum({rng.choice(roots): rng.choice(polys) for _ in range(rng.randint(0, 3))})
-
-    ks = list(fock_indices(c))
-    return StateVector("exact", {rng.choice(ks): ExactAmp(radical_sum(), radical_sum())
-                                 for _ in range(rng.randint(1, 3))})
-
-
-class TestExactAgainstReference:
-    LAMBDAS = ((1, None), (1j, None), (complex(0.6, 0.8), (Fraction(3, 5), Fraction(4, 5))))
-
-    @pytest.mark.parametrize("lam,lam_exact", LAMBDAS)
-    def test_canonical_amplitudes_equal(self, lam, lam_exact):
-        rng = random.Random(404)
-        for _ in range(25):
-            n = rng.randint(1, 3)
-            c = cfg(n=n, K=3 if n < 3 else 2, lam=lam, lam_exact=lam_exact, mode="exact")
-            e = _random_element(rng, n)
-            for v in (basis_state(c, rng.choice(list(fock_indices(c)))), _random_exact_state(rng, c)):
-                got = apply_element(e, v, c).amplitudes
-                want = _reference_apply_exact(e, v, c).amplitudes
-                assert {k: str(a) for k, a in got.items()} == {k: str(a) for k, a in want.items()}
-
-    def test_scaled_factor_fails_relations_at_the_same_points(self, monkeypatch):
-        real = rep_mod.shift_table
-
-        def scaled(c, g):
-            target, amp = real(c, g)
-            if g != y(1, True):
-                return target, amp
-            amp = list(amp)
-            root, re, im = amp[0]  # y_1* |0,0>, inside every interior check
-            amp[0] = (root, re * Fraction(3, 2), im * Fraction(3, 2))
-            return target, amp
-
-        c, p = cfg(n=2, K=4, lam=1j, mode="exact"), presentation_Sigma(2, sphere_reduction=False)
-        monkeypatch.setattr(rep_mod, "shift_table", scaled)
-        report = check_relations_in_rep(c, p)
-        assert not report.passed and report.witnesses
-        assert (report.max_residual, report.witnesses) == _reference_relations(c)
-
-    @pytest.mark.parametrize("perturbed", [False, True])
-    @pytest.mark.parametrize("lam,lam_exact", LAMBDAS)
-    @pytest.mark.parametrize("n,K", [(n, K) for n in (1, 2, 3) for K in (2, 3, 4)])
-    def test_relations_report_matches_per_vector_reference(self, monkeypatch, n, K, lam, lam_exact,
-                                                           perturbed):
-        if perturbed:
-            # Every live factor of y_1* times 1 + q^4: the relations fail on
-            # many vectors, the last one included, and most at large q0.
-            real, scaled = rep_mod.shift_table, {}
-
-            def perturbed_table(c, g):
-                target, amp = real(c, g)
-                if g != y(1, True):
-                    return target, amp
-                if (c, g) not in scaled:
-                    scaled[c, g] = target, [None if f is None else (f[0], f[1] * (ONE + Q(4)), f[2])
-                                            for f in amp]
-                return scaled[c, g]
-
-            monkeypatch.setattr(rep_mod, "shift_table", perturbed_table)
-        c = cfg(n=n, K=K, lam=lam, lam_exact=lam_exact, mode="exact")
-        report = check_relations_in_rep(c, presentation_Sigma(n, sphere_reduction=False))
-        assert report.passed != perturbed
-        assert (report.max_residual, report.witnesses) == _reference_relations(c)
+class TestExactRelations:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generic_image_matches_sympy(self, n):
+        q, lam = sympy.symbols("q lambda", positive=True)
+        t = sympy.symbols(f"t1:{n + 1}", positive=True)
+        variables = (q, *t, lam)
+        rng = random.Random(500 + n)
+        elements = [rel for _, rel in relations_Sigma(n)] + [_random_element(rng, n) for _ in range(15)]
+        for e in elements:
+            ours = {}
+            for (d, root), coeff in generic_image(e, n).items():
+                value = sum(c * sympy.Mul(*(v**x for v, x in zip(variables, exps)))
+                            for exps, c in coeff.items())
+                for i, a, s in root:
+                    value *= sympy.sqrt(1 - q**a * t[i - 1] ** s)
+                ours[d] = ours.get(d, 0) + value
+            want = _sympy_image(e, n, q, t, lam)
+            for d in set(ours) | set(want):
+                assert sympy.expand(ours.get(d, 0) - want.get(d, 0)) == 0, (e, d)
 
     def test_exact_relations_memory(self):
         c, p = cfg(n=3, K=4, mode="exact"), presentation_Sigma(3, sphere_reduction=False)
-        check_relations_in_rep(c, p)  # fills the shift-table cache
+        check_relations_in_rep(c, p)  # a first run, so that one-off allocations are not counted
         tracemalloc.start()
         try:
             report = check_relations_in_rep(c, p)

@@ -13,10 +13,7 @@ from hypothesis import strategies as st
 from qsphere.scalar import (
     DomainError,
     LaurentPoly,
-    RadicalSum,
     cyclotomic,
-    laurent_eval,
-    laurent_mul,
     qpochhammer,
     radical_canonicalize,
     radical_from_cyclotomic,
@@ -39,7 +36,7 @@ class TestLaurentPoly:
     def test_mul_difference_of_squares(self):
         a = ONE - Q(2)
         b = ONE + Q(2)
-        assert laurent_mul(a, b) == ONE - Q(4)
+        assert a * b == ONE - Q(4)
 
     def test_mul_monomials(self):
         assert Q(-1) * Q(2) == Q(1)
@@ -50,9 +47,9 @@ class TestLaurentPoly:
         assert c == Q(5) - Q(3)
 
     def test_eval_examples(self):
-        assert laurent_eval(ONE - Q(2), Fraction(1, 2)) == Fraction(3, 4)
-        assert laurent_eval(Q(-1), Fraction(1, 2)) == 2
-        assert laurent_eval(ONE - Q(4), Fraction(1, 2)) == Fraction(15, 16)
+        assert (ONE - Q(2)).evaluate(Fraction(1, 2)) == Fraction(3, 4)
+        assert Q(-1).evaluate(Fraction(1, 2)) == 2
+        assert (ONE - Q(4)).evaluate(Fraction(1, 2)) == Fraction(15, 16)
 
     def test_eval_domain(self):
         with pytest.raises(DomainError):
@@ -198,31 +195,6 @@ class TestRadical:
             r = radical_canonicalize([s])
             for q0 in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)):
                 assert abs(r.evaluate(q0) - math.sqrt(1 - float(q0) ** s)) < 1e-13
-
-
-class TestRadicalSum:
-    def test_zero_and_cancellation(self):
-        a = radical_canonicalize([2, 4])
-        s = RadicalSum.from_scalar(a) - RadicalSum.from_scalar(a)
-        assert s.is_zero()
-
-    def test_distinct_signatures_kept(self):
-        a = RadicalSum.from_scalar(radical_canonicalize([2]))
-        b = RadicalSum.from_scalar(radical_canonicalize([4]))
-        s = a + b
-        assert not s.is_zero()
-        assert len(dict(s.items())) == 2
-
-    def test_mul_scalar_matches_numeric(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            a = radical_canonicalize([rng.randint(1, 6)])
-            b = radical_canonicalize([rng.randint(1, 6)])
-            s = RadicalSum.from_scalar(a) + RadicalSum.from_poly(ONE)
-            prod = s.mul_scalar(b)
-            for q0 in (Fraction(1, 3), Fraction(1, 2)):
-                want = s.evaluate(q0) * b.evaluate(q0)
-                assert abs(prod.evaluate(q0) - want) < 1e-12
 
 
 # -- coefficient types, against polynomials stored with Fraction coefficients only --

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
+import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qsphere.rep as rep_mod
 import qsphere.verify as verify_mod
 from qsphere.algebra import Element, normalize, presentation_S, presentation_Sigma, y
 from qsphere.rep import (
@@ -33,14 +37,16 @@ from qsphere.verify import (
     check_symbolic_relations,
     joint_kernel_dims,
     lemma_aux_identity,
+    prove_relations_in_rep,
     run_suite,
 )
 
 HALF = Fraction(1, 2)
+UNIT_LAMBDAS = ((1, None), (1j, None), (complex(0.6, 0.8), (Fraction(3, 5), Fraction(4, 5))))
 
 
-def cfg(n=1, q0=HALF, lam=1, K=6, mode="numeric"):
-    return RepConfig(n, q0, lam, K, mode)
+def cfg(n=1, q0=HALF, lam=1, K=6, mode="numeric", lam_exact=None):
+    return RepConfig(n, q0, lam, K, mode, lam_exact)
 
 
 class TestSymbolicRelations:
@@ -200,12 +206,32 @@ class TestLowestWeightBasis:
         report = check_lowest_weight_basis(cfg(n=2, K=0))
         assert report.passed and report.max_residual == 0.0
 
+    def test_large_cutoff_does_no_symbolic_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the basis check expanded a q-shifted factorial")
+
+        monkeypatch.setattr(verify_mod, "qpochhammer", refuse)
+        start = time.perf_counter()
+        report = check_lowest_weight_basis(cfg(n=1, K=100, q0=Fraction(3, 5)))
+        assert report.passed
+        assert time.perf_counter() - start < 5.0
+
 
 class TestRelationsInRep:
     def test_numeric_grid_point(self):
         p = presentation_Sigma(2, sphere_reduction=False)
         report = check_relations_in_rep(cfg(n=2, q0=Fraction(3, 5), lam=1j, K=4), p)
         assert report.passed, report.witnesses[:2]
+
+    def test_exact_mode_is_a_proof_for_every_cutoff(self):
+        # The report does not depend on K, q0 or lambda; n = 10 fits only K <= 3.
+        start = time.perf_counter()
+        assert all(prove_relations_in_rep(n) == [] for n in range(1, 11))
+        assert time.perf_counter() - start < 1.0
+        for n in range(1, 11):
+            p = presentation_Sigma(n, sphere_reduction=False)
+            report = check_relations_in_rep(cfg(n=n, K=2, lam=1j, mode="exact"), p)
+            assert report.passed and report.max_residual == 0.0 and report.witnesses == []
 
     def test_exact_mode_gives_literal_zero(self):
         p = presentation_Sigma(1, sphere_reduction=False)
@@ -468,3 +494,69 @@ class TestLemmaAuxAgainstScratch:
         assert not report.passed
         assert [(w["i"], w["m"], w["normal_form"]) for w in report.witnesses] == \
                _scratch_lemma_aux(p, self.M_MAX)
+
+
+# -- mutations of the shared generator description ------------------------------
+
+
+MUTATIONS = {
+    "step 2 in the last slot": lambda n, s: replace(s, step=2) if s.step and s.slot == n - 1 else s,
+    "lambda for conj(lambda)": lambda n, s: replace(s, power=1) if s.power else s,
+    "prefix one index too long":
+        lambda n, s: replace(s, prefix=(1,) * (s.slot + 1) + (0,) * (n - 1 - s.slot)) if s.step else s,
+}
+
+
+@pytest.fixture
+def mutate(monkeypatch):
+    """mutate(name) makes both modes read a mutated `rep.generator_shift`."""
+    real = rep_mod.generator_shift
+
+    def apply(name):
+        edit = MUTATIONS[name]
+        monkeypatch.setattr(rep_mod, "generator_shift", lambda n, g: edit(n, real(n, g)))
+        rep_mod.shift_table.cache_clear()
+
+    yield apply
+    rep_mod.shift_table.cache_clear()
+
+
+class TestGenericProof:
+    @pytest.mark.parametrize("name", MUTATIONS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mutation_fails_both_checks(self, mutate, name, n):
+        mutate(name)
+        p = presentation_Sigma(n, sphere_reduction=False)
+        lam, lam_exact = UNIT_LAMBDAS[2]
+        exact = check_relations_in_rep(cfg(n=n, K=4, lam=lam, lam_exact=lam_exact, mode="exact"), p)
+        numeric = check_relations_in_rep(cfg(n=n, K=4, lam=lam), p)
+        assert not exact.passed and exact.witnesses and exact.max_residual > 0
+        assert not numeric.passed and numeric.witnesses
+        for w in exact.witnesses:
+            assert set(w) == {"relation", "shift", "root", "coefficient", "residual"}
+            assert len(w["shift"]) == n and w["coefficient"] not in ("", "0")
+        json.dumps(exact.to_json())
+
+    def test_failing_report_names_the_coefficient(self, mutate):
+        # n = 1, s = 2: y1 y1* - y1* y1 - (1 - q^4) y2* y2 on |k> is
+        # (1 - q^2 t1^2) - (1 - t1^2) - (1 - q^4) t1^4, and the sphere
+        # relation (1 - t1^2) + t1^4 - 1.
+        mutate("step 2 in the last slot")
+        assert prove_relations_in_rep(1) == [
+            {"relation": "diag[1]", "shift": [0], "root": [],
+             "coefficient": "t1^2 - t1^4 - q^2*t1^2 + q^4*t1^4", "residual": 1.0},
+            {"relation": "sphere", "shift": [0], "root": [],
+             "coefficient": "-t1^2 + t1^4", "residual": 1.0}]
+
+    @pytest.mark.parametrize("name", [None, *MUTATIONS])
+    @pytest.mark.parametrize("n,K", [(n, K) for n in (1, 2, 3) for K in (2, 3, 4, 5)])
+    def test_verdicts_agree_with_numeric(self, mutate, name, n, K):
+        # conj(lambda) = lambda for real lambda, so a mutated description is
+        # compared at lambdas off the real line only.
+        if name is not None:
+            mutate(name)
+        p = presentation_Sigma(n, sphere_reduction=False)
+        for lam, lam_exact in UNIT_LAMBDAS if name is None else UNIT_LAMBDAS[1:]:
+            numeric = check_relations_in_rep(cfg(n=n, K=K, lam=lam), p)
+            exact = check_relations_in_rep(cfg(n=n, K=K, lam=lam, lam_exact=lam_exact, mode="exact"), p)
+            assert exact.passed == numeric.passed == (name is None), lam
