@@ -26,6 +26,11 @@ Normalization runs on words coded as tuples of generator ranks: rules are
 looked up by rank pair, the next term is popped from a heap in word_key
 order, and `Word` and `Generator` appear only at the edges (the input
 check, `RewriteFuelError` and the result).
+
+A `Presentation` is immutable: its rules are fixed at construction, as
+Bergman's diamond lemma assumes, `rules` is a read-only mapping, and the
+rank-coded tables are derived from it once.  Other rules make another
+`Presentation`; interreduction builds one per pass.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import neg
+from types import MappingProxyType
 
 from .scalar import DomainError, LaurentPoly
 
@@ -248,18 +254,39 @@ def star(e: Element) -> Element:
 
 
 class Presentation:
-    """Generator order plus oriented rewrite rules for one of the algebras."""
+    """Generator order plus oriented rewrite rules for one of the algebras.
+
+    The rules are fixed at construction; `rules` is a read-only mapping."""
 
     def __init__(self, kind, n, sphere_reduction, generators, rules, eliminated):
         self.kind = kind
         self.n = n
         self.sphere_reduction = sphere_reduction
         self.generators = tuple(generators)
-        self.rank = {g: i for i, g in enumerate(self.generators)}
+        self.rank = rank = {g: i for i, g in enumerate(self.generators)}
         self._weights = tuple(self.weight(g) for g in self.generators)
-        self.rules = dict(rules)
+        self.rules = MappingProxyType(dict(rules))
         self.eliminated = eliminated
-        self._derived = None  # (rule items, rank rules, sphere step data)
+        # The tables that _step reads: the rules by rank pair and, with
+        # sphere reduction on, the scattered step's data by rank.
+        self._rank_rules = {(rank[a], rank[b]): tuple((self.ranks(w), c) for w, c in rhs._terms.items())
+                            for (a, b), rhs in self.rules.items()}
+        self._sphere = None
+        if eliminated is not None:
+            if eliminated not in self.rules:
+                raise PresentationError("no rule for the eliminated pair")
+            estar, e = eliminated
+            left, right = {}, {}
+            for g in self.generators:
+                if g.starred or g == e:
+                    continue
+                scalar = _scalar_exchange(self.rules, e, g)
+                if scalar is not None:
+                    left[rank[g]] = scalar
+                scalar = _scalar_exchange(self.rules, g, estar)
+                if scalar is not None:
+                    right[rank[g]] = scalar
+            self._sphere = (rank[estar], rank[e], left, right, self._rank_rules[rank[estar], rank[e]])
 
     # -- word order ------------------------------------------------------
 
@@ -288,41 +315,11 @@ class Presentation:
 
     # -- single rewrite step ----------------------------------------------
 
-    def _derive_rank_tables(self):
-        """Code the rules by rank pair, and the sphere step's data by rank.
-
-        Called before every normalization: rules may change in place
-        (interreduction assigns p.rules[lhs]), so the tables are rebuilt
-        whenever the rule items differ from those they were derived from.
-        An unchanged rule set costs one identity-first comparison."""
-        items = tuple(self.rules.items())
-        if self._derived is not None and self._derived[0] == items:
-            return
-        rank = self.rank
-        rules = {(rank[a], rank[b]): tuple((self.ranks(w), c) for w, c in rhs._terms.items())
-                 for (a, b), rhs in items}
-        sphere = None
-        if self.eliminated is not None:
-            estar, e = self.eliminated
-            left, right = {}, {}
-            for g in self.generators:
-                if g.starred or g == e:
-                    continue
-                scalar = _scalar_exchange(self.rules, e, g)
-                if scalar is not None:
-                    left[rank[g]] = scalar
-                scalar = _scalar_exchange(self.rules, g, estar)
-                if scalar is not None:
-                    right[rank[g]] = scalar
-            sphere = (rank[estar], rank[e], left, right, rules[rank[estar], rank[e]])
-        self._derived = (items, rules, sphere)
-
     def _step(self, ranks: tuple[int, ...]):
-        """One rewrite step on a rank-coded word, with the tables of the last
-        _derive_rank_tables: the rule at the leftmost redex or, with none,
-        the scattered sphere step.  Returns (ranks, coefficient) pairs, or
-        None if the word is normal."""
-        _, rules, sphere = self._derived
+        """One rewrite step on a rank-coded word: the rule at the leftmost
+        redex or, with none, the scattered sphere step.  Returns (ranks,
+        coefficient) pairs, or None if the word is normal."""
+        rules, sphere = self._rank_rules, self._sphere
         for i in range(len(ranks) - 1):
             rhs = rules.get(ranks[i:i + 2])
             if rhs is not None:
@@ -358,12 +355,10 @@ class Presentation:
     def reduce_word_once(self, word: Word) -> Element | None:
         """Apply one rule at the leftmost redex, or pull a scattered
         eliminated pair together; None if the word is normal."""
-        self._derive_rank_tables()
         out = self._step(self.ranks(word))
         return None if out is None else Element({self.word(w): c for w, c in out})
 
     def is_normal_word(self, word: Word) -> bool:
-        self._derive_rank_tables()
         return self._step(self.ranks(word)) is None
 
     # -- build-time validation ---------------------------------------------
@@ -572,24 +567,20 @@ def _build_presentation(kind: str, n: int, sphere_reduction: bool) -> Presentati
                 raise PresentationError(f"conflicting rules for {lhs[0]}{lhs[1]} ({name})")
             continue
         rules[lhs] = rhs
-    if sphere_reduction and eliminated not in rules:
-        raise PresentationError("sphere relation did not orient to the eliminated pair")
-
-    p = Presentation(kind, n, sphere_reduction, gens, rules,
-                     eliminated if sphere_reduction else None)
+    if not sphere_reduction:
+        eliminated = None
+    p = Presentation(kind, n, sphere_reduction, gens, rules, eliminated)
 
     # Interreduce: rewrite every right-hand side to normal form so that no
     # rule ever reintroduces a reducible word (with sphere reduction on,
-    # the raw diagonal relations mention the eliminated pair).
+    # the raw diagonal relations mention the eliminated pair).  Each pass
+    # rewrites against the rules of the pass before.
     for _ in range(20):
-        changed = False
-        for lhs in list(p.rules):
-            nf = normalize(p.rules[lhs], p)
-            if nf != p.rules[lhs]:
-                p.rules[lhs] = nf
-                changed = True
+        changed = {lhs: nf for lhs, rhs in rules.items() if (nf := normalize(rhs, p)) != rhs}
         if not changed:
             break
+        rules = {**rules, **changed}
+        p = Presentation(kind, n, sphere_reduction, gens, rules, eliminated)
     else:
         raise PresentationError("rule interreduction did not converge")
 
@@ -650,7 +641,6 @@ def normalize_steps(e: Element, p: Presentation, fuel: int | None = None) -> tup
         except KeyError as err:
             raise DomainError(f"generator {err.args[0]} does not belong to the "
                               f"{p.kind} presentation") from None
-    p._derive_rank_tables()
     step, key = p._step, p.word_key
 
     def entry(ranks):  # heapq pops its least entry; this reverses word_key

@@ -39,24 +39,20 @@ def _parse_q(text: str) -> Fraction:
     return Fraction(int(parts[0]), int(parts[1]))
 
 
-def _parse_lambda(text: str):
-    """Returns (complex value, exact rational pair or None)."""
-    named = {"1": (Fraction(1), Fraction(0)), "-1": (Fraction(-1), Fraction(0)),
-             "i": (Fraction(0), Fraction(1)), "-i": (Fraction(0), Fraction(-1))}
+def _parse_lambda(text: str) -> complex:
+    """1, -1, i, -i, or re,im with each part a rational like 3/5 or a float."""
+    named = {"1": 1, "-1": -1, "i": 1j, "-i": -1j}
     if text in named:
-        re, im = named[text]
-        return complex(float(re), float(im)), (re, im)
+        return complex(named[text])
     parts = text.split(",")
     if len(parts) != 2:
         raise DomainError(f"lambda must be 1, -1, i, -i or re,im; got {text!r}")
+    try:  # as rationals such as 3/5; nan and inf, which RepConfig refuses, read as floats
+        return complex(*(float(Fraction(part)) for part in parts))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
     try:
-        re_exact, im_exact = Fraction(parts[0]), Fraction(parts[1])
-    except ValueError:
-        re_exact = im_exact = None
-    if re_exact is not None and re_exact**2 + im_exact**2 == 1:
-        return complex(float(re_exact), float(im_exact)), (re_exact, im_exact)
-    try:
-        return complex(float(parts[0]), float(parts[1])), None
+        return complex(float(parts[0]), float(parts[1]))
     except ValueError as err:
         raise DomainError(f"cannot parse lambda {text!r}") from err
 
@@ -69,8 +65,7 @@ def _presentation(args):
 def _rep_config(args) -> RepConfig:
     if args.algebra == "s":
         raise DomainError("representations are only constructed for the sigma algebra")
-    lam, lam_exact = _parse_lambda(args.lam)
-    return RepConfig(args.n, _parse_q(args.q), lam, args.K, args.mode, lam_exact)
+    return RepConfig(args.n, _parse_q(args.q), _parse_lambda(args.lam), args.K, args.mode)
 
 
 def _numeric_config(args, command: str) -> RepConfig:

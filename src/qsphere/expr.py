@@ -209,7 +209,6 @@ def parse(text: str, presentation: Presentation) -> Element:
 
 def print_canonical(e: Element) -> str:
     """Deterministic text form: terms sorted by word in generator order,
-    each as (<laurent>)*<word>; parse(print_canonical(e)) == e."""
-    if e.is_zero():
-        return "0"
-    return " + ".join(f"({coeff})*{word}" for word, coeff in e.items())
+    each as (<laurent>)*<word>, as `Element.__str__` prints it;
+    parse(print_canonical(e)) == e."""
+    return str(e)

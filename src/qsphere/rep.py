@@ -33,15 +33,14 @@ counts the vectors some y_i does not kill.
 Exact mode keeps no tables: `generic_image` applies an element to a generic
 basis vector |k> of the untruncated space, with t_i = q^(k_i) symbolic, so
 that `qsphere.verify` proves an identity for every cutoff, q0 and unit
-lambda at once.  An exact configuration still names an exact rational
-lambda on the unit circle.  State vectors, `apply_element` and `matrix`
-are numeric.
+lambda at once, so an exact configuration takes any unit lambda.  State
+vectors, `apply_element` and `matrix` are numeric.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -62,11 +61,6 @@ np = lazy_import("numpy")
 # run within 2 GiB.
 MAX_DIM = 2**20
 
-_EXACT_COMPLEX = {1 + 0j: (Fraction(1), Fraction(0)),
-                  -1 + 0j: (Fraction(-1), Fraction(0)),
-                  1j: (Fraction(0), Fraction(1)),
-                  -1j: (Fraction(0), Fraction(-1))}
-
 
 @dataclass(frozen=True)
 class RepConfig:
@@ -78,7 +72,6 @@ class RepConfig:
     lam: complex
     K: int
     mode: str = "numeric"
-    lam_exact: tuple[Fraction, Fraction] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -97,29 +90,13 @@ class RepConfig:
         lam = complex(self.lam)
         if not math.isfinite(abs(lam)):
             raise DomainError(f"lambda = {lam} is not finite")
-        object.__setattr__(self, "lam", lam)
-        exact = self.lam_exact
-        if exact is None:
-            exact = _EXACT_COMPLEX.get(lam)
-        if exact is not None:
-            re, im = Fraction(exact[0]), Fraction(exact[1])
-            if re * re + im * im != 1:
-                raise DomainError(f"exact lambda {exact} is not on the unit circle")
-            object.__setattr__(self, "lam_exact", (re, im))
-            object.__setattr__(self, "lam", complex(float(re), float(im)))
-        else:
-            if abs(abs(lam) - 1.0) > 1e-12:
-                raise DomainError(f"|lambda| = {abs(lam)} is not 1 within 1e-12")
-        if self.mode == "exact" and self.lam_exact is None:
-            raise DomainError("exact mode needs an exact rational unit lambda")
+        if abs(abs(lam) - 1.0) > 1e-12:
+            raise DomainError(f"|lambda| = {abs(lam)} is not 1 within 1e-12")
+        object.__setattr__(self, "lam", lam + 0j)  # a -0.0 part becomes 0.0, as -1j prints [0,-1]
 
     @property
     def dim(self) -> int:
         return (self.K + 1) ** self.n
-
-    def numeric(self) -> RepConfig:
-        """The same truncation with numeric amplitudes."""
-        return self if self.mode == "numeric" else replace(self, mode="numeric")
 
 
 def fock_indices(c: RepConfig):
@@ -149,7 +126,6 @@ def is_interior(k: tuple[int, ...], c: RepConfig, margin: int = 2) -> bool:
 class StateVector:
     """Sparse vector on the truncated basis with complex amplitudes."""
 
-    mode: str
     amplitudes: dict[tuple[int, ...], object] = field(default_factory=dict)
 
     def is_zero(self) -> bool:
@@ -170,7 +146,7 @@ def basis_state(c: RepConfig, k: tuple[int, ...]) -> StateVector:
     k = tuple(k)
     if len(k) != c.n or any(ki < 0 or ki > c.K for ki in k):
         raise DomainError(f"index {k} outside the truncated basis")
-    return StateVector(c.mode, {k: complex(1.0)})
+    return StateVector({k: complex(1.0)})
 
 
 # -- generators as weighted shifts ----------------------------------------------
@@ -319,7 +295,7 @@ def apply_element(e: Element, v: StateVector, c: RepConfig) -> StateVector:
     amps = np.array(list(v.amplitudes.values()), dtype=complex)
     rows, values = _numeric_action(e, src, amps, c, 0)
     indices = map(tuple, fock_array(c)[rows].tolist())
-    return StateVector(c.mode, dict(zip(indices, values.tolist())))
+    return StateVector(dict(zip(indices, values.tolist())))
 
 
 def apply_generator(g: Generator, v: StateVector, c: RepConfig) -> StateVector:
@@ -352,9 +328,8 @@ class SparseMatrix:
 
 def matrix(e: Element, c: RepConfig) -> SparseMatrix:
     """Assemble the numeric matrix of an element, every column at once."""
-    cn = c.numeric()
-    keys, values = _numeric_action(e, np.arange(cn.dim), np.ones(cn.dim, dtype=complex), cn, cn.dim)
-    return SparseMatrix(cn.dim, keys % cn.dim, keys // cn.dim, values)
+    keys, values = _numeric_action(e, np.arange(c.dim), np.ones(c.dim, dtype=complex), c, c.dim)
+    return SparseMatrix(c.dim, keys % c.dim, keys // c.dim, values)
 
 
 def yn1_spectrum(c: RepConfig) -> list[complex]:

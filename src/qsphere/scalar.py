@@ -22,7 +22,6 @@ All values are immutable after construction.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -238,65 +237,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
-
-    _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|q|\^|\*|\+|-)")
-
-    @classmethod
-    def parse(cls, text: str) -> LaurentPoly:
-        """Parse the canonical text form (also accepts unsorted terms)."""
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = cls._TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise DomainError(f"bad scalar syntax at offset {pos}: {text[pos:]!r}")
-                break
-            tokens.append(m.group(1))
-            pos = m.end()
-        if not tokens:
-            raise DomainError("empty scalar")
-
-        result = cls.zero()
-        i = 0
-        first = True
-        while i < len(tokens):
-            sign = 1
-            if tokens[i] in "+-":
-                sign = -1 if tokens[i] == "-" else 1
-                i += 1
-            elif not first:
-                raise DomainError(f"expected '+' or '-' before term, got {tokens[i]!r}")
-            first = False
-            coeff = Fraction(1)
-            exp = 0
-            seen = False
-            if i < len(tokens) and re.fullmatch(r"\d+(/\d+)?", tokens[i]):
-                coeff = Fraction(tokens[i])
-                i += 1
-                seen = True
-                if i < len(tokens) and tokens[i] == "*":
-                    i += 1
-                    if i >= len(tokens) or tokens[i] != "q":
-                        raise DomainError("expected q after '*'")
-            if i < len(tokens) and tokens[i] == "q":
-                exp = 1
-                i += 1
-                seen = True
-                if i < len(tokens) and tokens[i] == "^":
-                    i += 1
-                    esign = 1
-                    if i < len(tokens) and tokens[i] == "-":
-                        esign = -1
-                        i += 1
-                    if i >= len(tokens) or not re.fullmatch(r"\d+", tokens[i]):
-                        raise DomainError("expected integer exponent after '^'")
-                    exp = esign * int(tokens[i])
-                    i += 1
-            if not seen:
-                raise DomainError("expected a term")
-            result = result + cls.q(exp, sign * coeff)
-        return result
 
 
 def qpochhammer(a: LaurentPoly, b: LaurentPoly, ell: int) -> LaurentPoly:

@@ -270,11 +270,10 @@ def joint_kernel_dims(c: RepConfig) -> list[int]:
     """Dimensions of the nested joint kernels of y_1, .., y_k for k = 1..n.
     The stacked matrix of y_1..y_k has orthogonal columns (see qsphere.rep),
     so its nullity is the number of basis vectors every y_i, i <= k, kills."""
-    cn = c.numeric()
-    killed = np.ones(cn.dim, dtype=bool)
+    killed = np.ones(c.dim, dtype=bool)
     dims = []
-    for i in range(1, cn.n + 1):
-        killed &= shift_table(cn, y(i))[1] == 0
+    for i in range(1, c.n + 1):
+        killed &= shift_table(c, y(i))[1] == 0
         dims.append(int(np.count_nonzero(killed)))
     return dims
 
@@ -311,15 +310,14 @@ def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
         raise DomainError("k must lie in 1..n")
     if c.K < 2:
         raise DomainError("the operator identities need K >= 2")
-    cn = c.numeric()
-    mu = float(cn.q0 ** (2 if k < cn.n else 4))
-    size = (cn.K + 1) ** (cn.n - k + 1)
+    mu = float(c.q0 ** (2 if k < c.n else 4))
+    size = (c.K + 1) ** (c.n - k + 1)
     report = CheckReport("lemma_main", dict(_rep_params(c), k=k, mu=mu), tolerance=UNITARY_TOL)
 
-    a_elem = sum((Element.of(y(i, True), y(i)) for i in range(k + 1, cn.n + 2)), Element.zero())
-    a_mat = matrix(a_elem, cn)
+    a_elem = sum((Element.of(y(i, True), y(i)) for i in range(k + 1, c.n + 2)), Element.zero())
+    a_mat = matrix(a_elem, c)
     in_block = (a_mat.rows < size) & (a_mat.cols < size)
-    target, amp = shift_table(cn, y(k))
+    target, amp = shift_table(c, y(k))
     src = np.flatnonzero(amp[:size] != 0)
     tgt = target[src]
     broken = {"A_diagonal": a_mat.cols[in_block & (a_mat.rows != a_mat.cols)],
@@ -335,7 +333,7 @@ def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
     b2 = np.abs(amp[src]) ** 2
     bsb, bbs, uau = np.zeros(size), np.zeros(size), np.zeros(size, dtype=complex)
     bsb[src], bbs[tgt] = b2, b2
-    inside = np.all(fock_array(cn)[:size] <= cn.K - 2, axis=1)
+    inside = np.all(fock_array(c)[:size] <= c.K - 2, axis=1)
 
     # BB* equals 1 - mu A, which is positive definite wherever the
     # truncation is faithful; it is checked on the interior block.
@@ -364,15 +362,14 @@ def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
     factor at a time, i = n down to 1, through the shift table of y_i*.
     Each result is a multiple v |r> of one basis vector, so the Gram matrix
     holds |v|^2 on its diagonal and conj(v) v' between vectors sharing r."""
-    cn = c.numeric()
-    n, K = cn.n, cn.K
-    indices = fock_array(cn)
+    n, K = c.n, c.K
+    indices = fock_array(c)
     grid = np.flatnonzero(np.all(indices <= K - 1, axis=1))
     report = CheckReport("lowest_weight_basis", _rep_params(c), tolerance=NUMERIC_TOL)
 
     rank, amp = np.zeros(len(grid), dtype=np.int64), np.ones(len(grid), dtype=complex)
     for i in range(n, 0, -1):
-        target, factor = shift_table(cn, y(i, True))
+        target, factor = shift_table(c, y(i, True))
         for power in range(K - 1):
             more = indices[grid, i - 1] > power
             amp[more] *= factor[rank[more]]
@@ -383,7 +380,7 @@ def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
         value = Fraction(1)
         for ki in range(K):
             pochhammer[step, ki] = value
-            value *= 1 - cn.q0 ** (step * (ki + 1))
+            value *= 1 - c.q0 ** (step * (ki + 1))
     norms = [float(math.prod(pochhammer[4 if i == n else 2, ki] for i, ki in enumerate(k, 1)))
              for k in indices[grid].tolist()]
     values = amp / np.sqrt(norms)

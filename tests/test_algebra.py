@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import random
 
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from qsphere.algebra import (
     Element,
+    Presentation,
     PresentationError,
     RewriteFuelError,
     Word,
@@ -66,6 +66,11 @@ def normalize_by_max(e, p):
             else:
                 pending.pop(rw, None)
     return Element(done), steps
+
+
+def with_rules(p, changes):
+    """A new presentation with p's rules, `changes` replacing some of them."""
+    return Presentation(p.kind, p.n, p.sphere_reduction, p.generators, {**p.rules, **changes}, p.eliminated)
 
 
 PRESENTATION_KEYS = [(build, n, sphere) for build in (presentation_S, presentation_Sigma)
@@ -167,17 +172,14 @@ class TestPresentations:
                 assert p.word_key(p.ranks(Word(u + w.letters + v))) < lhs_key, (u, a, b, w, v)
 
     def test_validate_rejects_a_rule_that_does_not_descend(self):
-        p = copy.copy(presentation_Sigma(2, sphere_reduction=False))
-        p.rules = dict(p.rules)
-        p.rules[(y(2), y(1))] = Element.of(y(2), y(2))
+        p = with_rules(presentation_Sigma(2, sphere_reduction=False), {(y(2), y(1)): Element.of(y(2), y(2))})
         with pytest.raises(PresentationError, match="does not descend"):
             p.validate()
 
     def test_validate_rejects_a_heavy_sphere_rule(self):
-        p = copy.copy(presentation_S(2))
-        p.rules = dict(p.rules)
+        p = presentation_S(2)
         # y2'y2' sits below y2'y2 in the order but is just as heavy.
-        p.rules[p.eliminated] = p.rules[p.eliminated] + Element.of(y(2, True), y(2, True))
+        p = with_rules(p, {p.eliminated: p.rules[p.eliminated] + Element.of(y(2, True), y(2, True))})
         with pytest.raises(PresentationError, match="y2'y2 -> ... does not descend at y2'y2'"):
             p.validate()
 
@@ -286,18 +288,23 @@ class TestHeapAgainstMax:
         e = e * e.star()  # products cancel and repeat words more than random sums
         assert normalize_steps(e, p) == normalize_by_max(e, p)
 
-    def test_rule_changes_are_seen(self):
-        p = copy.copy(presentation_Sigma(2, sphere_reduction=False))
-        p.rules = dict(p.rules)
-        e = Element.of(y(2), y(1))
+    def test_rules_are_fixed_at_construction(self):
+        p = presentation_Sigma(2, sphere_reduction=False)
+        lhs, e = (y(2), y(1)), Element.of(y(2), y(1))
+        with pytest.raises(TypeError):
+            p.rules[lhs] = Element.of(y(1), y(2), coeff=Q(5))
+        changed = with_rules(p, {lhs: Element.of(y(1), y(2), coeff=Q(5))})
+        assert normalize(e, changed) == Element.of(y(1), y(2), coeff=Q(5))
+        assert changed.reduce_word_once(Word(lhs)) == Element.of(y(1), y(2), coeff=Q(5))
         assert normalize(e, p) == Element.of(y(1), y(2), coeff=Q(-1))
-        # in place, as interreduction assigns p.rules[lhs]
-        p.rules[(y(2), y(1))] = Element.of(y(1), y(2), coeff=Q(5))
-        assert normalize(e, p) == Element.of(y(1), y(2), coeff=Q(5))
-        assert p.reduce_word_once(Word((y(2), y(1)))) == Element.of(y(1), y(2), coeff=Q(5))
-        del p.rules[(y(2), y(1))]
-        assert normalize(e, p) == e
-        assert p.is_normal_word(Word((y(2), y(1))))
+        dropped = Presentation(p.kind, p.n, p.sphere_reduction, p.generators,
+                               {k: v for k, v in p.rules.items() if k != lhs}, p.eliminated)
+        assert normalize(e, dropped) == e
+        assert dropped.is_normal_word(Word(lhs))
+        # the scattered step reads the sphere rule of its own presentation
+        sphere, scattered = presentation_Sigma(1), Word((y(2, True), y(1), y(2)))
+        doubled = with_rules(sphere, {sphere.eliminated: sphere.rules[sphere.eliminated] * 2})
+        assert doubled.reduce_word_once(scattered) == sphere.reduce_word_once(scattered) * 2
 
 
 class TestRelationsClose:

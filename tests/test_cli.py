@@ -136,6 +136,18 @@ class TestVerify:
         assert out == ""
         assert "not finite" in err
 
+    @pytest.mark.parametrize("lam", ["1/0,0", "abc", "1,2,3"])
+    def test_unreadable_lambda_exits_2(self, lam):
+        code, out, err = run_cli(["spectrum", "--lambda", lam, "--n", "1", "--K", "2"])
+        assert code == 2
+        assert out == ""
+        assert "lambda" in err
+
+    def test_negative_zero_lambda_part_reads_as_zero(self):
+        code, out, _ = run_cli(["rep", "matrix", "--lambda=-0,-1", "--n", "1", "--K", "2", "y2"])
+        assert code == 0
+        assert '"lambda":[0,-1]' in out
+
 
 class TestRep:
     def test_matrix_diagonal(self):

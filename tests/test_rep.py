@@ -39,8 +39,8 @@ Q = LaurentPoly.q
 HALF = Fraction(1, 2)
 
 
-def cfg(n=1, q0=HALF, lam=1, K=6, mode="numeric", lam_exact=None):
-    return RepConfig(n, q0, lam, K, mode, lam_exact)
+def cfg(n=1, q0=HALF, lam=1, K=6, mode="numeric"):
+    return RepConfig(n, q0, lam, K, mode)
 
 
 def dense(m):
@@ -66,21 +66,14 @@ class TestConfig:
     def test_rejects_non_unit_lambda(self):
         with pytest.raises(DomainError):
             cfg(lam=2.0)
-        with pytest.raises(DomainError):
-            cfg(lam_exact=(Fraction(1), Fraction(1)))
 
     @pytest.mark.parametrize("lam", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)])
     def test_rejects_non_finite_lambda(self, lam):
         with pytest.raises(DomainError, match="not finite"):
             cfg(lam=lam)
 
-    def test_exact_mode_needs_exact_lambda(self):
-        with pytest.raises(DomainError):
-            cfg(lam=complex(math.cos(0.3), math.sin(0.3)), mode="exact")
-        cfg(lam=1j, mode="exact")
-
     def test_pythagorean_lambda(self):
-        c = cfg(lam=complex(0.6, 0.8), lam_exact=(Fraction(3, 5), Fraction(4, 5)), mode="exact")
+        c = cfg(lam=complex(0.6, 0.8), mode="exact")
         assert c.lam == complex(0.6, 0.8)
 
     def test_refuses_size_before_allocating(self, monkeypatch):
@@ -283,6 +276,10 @@ class TestJson:
         assert data["dim"] == 3
         assert data["basis_order"] == "lex_k1_major"
         assert data["entries"] == [[0, 0, 1, 0], [1, 1, 0.25, 0], [2, 2, 0.0625, 0]]
+
+    def test_negative_zero_lambda_part_prints_as_zero(self):
+        c = RepConfig(1, Fraction(1, 2), -1j, 2)
+        assert '"lambda":[0,-1]' in matrix_json(matrix(Element.of(y(2)), c), c)
 
     def test_entries_sorted_by_col_then_row(self):
         c = cfg(n=2, K=2)

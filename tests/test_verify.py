@@ -15,7 +15,7 @@ import pytest
 
 import qsphere.rep as rep_mod
 import qsphere.verify as verify_mod
-from qsphere.algebra import Element, normalize, presentation_S, presentation_Sigma, y
+from qsphere.algebra import Element, Presentation, normalize, presentation_S, presentation_Sigma, y
 from qsphere.rep import (
     RepConfig,
     SparseMatrix,
@@ -42,11 +42,17 @@ from qsphere.verify import (
 )
 
 HALF = Fraction(1, 2)
-UNIT_LAMBDAS = ((1, None), (1j, None), (complex(0.6, 0.8), (Fraction(3, 5), Fraction(4, 5))))
+UNIT_LAMBDAS = (1, 1j, complex(0.6, 0.8), complex(math.cos(0.3), math.sin(0.3)))
 
 
-def cfg(n=1, q0=HALF, lam=1, K=6, mode="numeric", lam_exact=None):
-    return RepConfig(n, q0, lam, K, mode, lam_exact)
+def cfg(n=1, q0=HALF, lam=1, K=6, mode="numeric"):
+    return RepConfig(n, q0, lam, K, mode)
+
+
+def _with_rule(p, lhs, edit):
+    """A new presentation with p's rules, the rule for lhs replaced by edit(rhs)."""
+    rules = {**p.rules, lhs: edit(p.rules[lhs])}
+    return Presentation(p.kind, p.n, p.sphere_reduction, p.generators, rules, p.eliminated)
 
 
 class TestSymbolicRelations:
@@ -82,10 +88,9 @@ class TestConfluence:
             assert "middle_max" not in report.params
 
     def test_perturbed_rule_fails_with_witness(self):
-        p = copy.copy(presentation_Sigma(2, sphere_reduction=False))
-        p.rules = dict(p.rules)
         lhs = (y(3), y(2))
-        p.rules[lhs] = p.rules[lhs] + Element.of(y(2), y(3), coeff=LaurentPoly.q(1))
+        p = _with_rule(presentation_Sigma(2, sphere_reduction=False), lhs,
+                       lambda rhs: rhs + Element.of(y(2), y(3), coeff=LaurentPoly.q(1)))
         report = check_confluence(p)
         assert not report.passed
         assert report.params["status"] == "refuted"
@@ -467,13 +472,9 @@ def _scratch_lemma_aux(p, m_max):
 
 
 def _with_perturbed_rule(p, i, c):
-    """A copy of p with c q added to the first term of the y_i y_i* rule."""
-    out = copy.copy(p)
-    out.rules = dict(p.rules)
-    rhs = p.rules[y(i), y(i, True)]
-    word, _ = rhs.items()[0]
-    out.rules[y(i), y(i, True)] = rhs + Element.from_word(word, LaurentPoly.q(1, c))
-    return out
+    """p with c q added to the first term of the y_i y_i* rule."""
+    return _with_rule(p, (y(i), y(i, True)),
+                      lambda rhs: rhs + Element.from_word(rhs.items()[0][0], LaurentPoly.q(1, c)))
 
 
 class TestLemmaAuxAgainstScratch:
@@ -527,8 +528,8 @@ class TestGenericProof:
     def test_mutation_fails_both_checks(self, mutate, name, n):
         mutate(name)
         p = presentation_Sigma(n, sphere_reduction=False)
-        lam, lam_exact = UNIT_LAMBDAS[2]
-        exact = check_relations_in_rep(cfg(n=n, K=4, lam=lam, lam_exact=lam_exact, mode="exact"), p)
+        lam = UNIT_LAMBDAS[2]
+        exact = check_relations_in_rep(cfg(n=n, K=4, lam=lam, mode="exact"), p)
         numeric = check_relations_in_rep(cfg(n=n, K=4, lam=lam), p)
         assert not exact.passed and exact.witnesses and exact.max_residual > 0
         assert not numeric.passed and numeric.witnesses
@@ -556,7 +557,7 @@ class TestGenericProof:
         if name is not None:
             mutate(name)
         p = presentation_Sigma(n, sphere_reduction=False)
-        for lam, lam_exact in UNIT_LAMBDAS if name is None else UNIT_LAMBDAS[1:]:
+        for lam in UNIT_LAMBDAS if name is None else UNIT_LAMBDAS[1:]:
             numeric = check_relations_in_rep(cfg(n=n, K=K, lam=lam), p)
-            exact = check_relations_in_rep(cfg(n=n, K=K, lam=lam, lam_exact=lam_exact, mode="exact"), p)
+            exact = check_relations_in_rep(cfg(n=n, K=K, lam=lam, mode="exact"), p)
             assert exact.passed == numeric.passed == (name is None), lam
