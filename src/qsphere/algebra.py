@@ -358,9 +358,6 @@ class Presentation:
         out = self._step(self.ranks(word))
         return None if out is None else Element({self.word(w): c for w, c in out})
 
-    def is_normal_word(self, word: Word) -> bool:
-        return self._step(self.ranks(word)) is None
-
     # -- build-time validation ---------------------------------------------
 
     def validate(self):

@@ -96,9 +96,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p = _presentation(args)
+    # the configuration refuses an oversized truncation before any presentation is built
     config = _rep_config(args) if args.algebra == "sigma" else None
-    reports = run_suite(args.suite, p, config)
+    reports = run_suite(args.suite, _presentation(args), config)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports], indent=None, sort_keys=True))
     else:

@@ -113,10 +113,6 @@ def rank_of(k: tuple[int, ...], c: RepConfig) -> int:
     return int(np.ravel_multi_index(k, (c.K + 1,) * c.n))
 
 
-def index_of(rank: int, c: RepConfig) -> tuple[int, ...]:
-    return tuple(int(ki) for ki in np.unravel_index(rank, (c.K + 1,) * c.n))
-
-
 def is_interior(k: tuple[int, ...], c: RepConfig, margin: int = 2) -> bool:
     """True when every component sits at least `margin` below the cutoff."""
     return all(ki <= c.K - margin for ki in k)

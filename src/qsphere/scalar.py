@@ -9,6 +9,8 @@ Two kinds of scalars live here:
 * ``RadicalScalar`` -- a Laurent polynomial times the square root of a
   square-free product of cyclotomic-type atoms.  Matrix entries of the
   truncated representations, such as sqrt(1 - q^(2k)), are of this form.
+  Nothing in the library calls this layer; it stays only for the
+  benchmark harness, until that harness is rebuilt without it.
 
 Radical atoms are keyed by cyclotomic factorisation: 1 - q^s splits as
 the product of (1 - q) and the cyclotomic polynomials Phi_d for the

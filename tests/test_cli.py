@@ -126,6 +126,17 @@ class TestVerify:
         assert code == 2
         assert "exceed" in err
 
+    def test_oversized_truncation_is_refused_before_the_presentation(self, monkeypatch):
+        from qsphere import cli as cli_mod
+
+        def no_build(*args):
+            raise AssertionError("the presentation was built for a refused size")
+
+        monkeypatch.setattr(cli_mod, "presentation_Sigma", no_build)
+        code, out, err = run_cli(["verify", "--n", "120", "--K", "6"])
+        assert code == 2 and out == ""
+        assert "(K+1)^n = 7^120 basis vectors exceed" in err
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--lambda", "nan,0", "--n", "2", "--K", "3", "--suite", "kernel"],
         ["rep", "matrix", "--lambda", "nan,0", "--n", "1", "--K", "2", "--", "y2"],

@@ -2,8 +2,8 @@
 
 Elements are small sums of short words over S and Sigma with n <= 3, with
 sphere reduction on and off.  The last two properties, nf(a b) == nf(nf(a) b)
-and nf(a b) == nf(a nf(b)), are the steps the incremental power check in
-qsphere.verify relies on.
+and nf(a b) == nf(a nf(b)), say that normal forms are compatible with
+products, as unique normal forms require.
 """
 
 from __future__ import annotations

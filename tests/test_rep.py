@@ -23,8 +23,8 @@ from qsphere.rep import (
     apply_element,
     apply_generator,
     basis_state,
+    fock_array,
     fock_indices,
-    index_of,
     is_interior,
     matrix,
     matrix_json,
@@ -87,7 +87,7 @@ class TestConfig:
     def test_rank_round_trip(self):
         c = cfg(n=3, K=2)
         for k in fock_indices(c):
-            assert index_of(rank_of(k, c), c) == k
+            assert tuple(fock_array(c)[rank_of(k, c)].tolist()) == k
 
 
 class TestApplyGenerator:

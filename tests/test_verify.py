@@ -156,6 +156,78 @@ class TestLemmaAux:
         with pytest.raises(DomainError):
             check_lemma_aux(presentation_S(1), 2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_power_recursion_holds_in_the_free_algebra(self, n):
+        # I_m = I_(m-1) Y + c_(m-1) Y^(m-1) I_1 + (1 - c_(m-1)) Y^(m-2) [T, Y],
+        # compared as elements with no rewriting
+        for i in range(1, n + 1):
+            big_y, step = Element.of(y(i, True)), 4 if i == n else 2
+            bracket = _tail(i) * big_y - big_y * _tail(i)
+            for m in range(2, 9):
+                c = LaurentPoly.q(step * (m - 1))
+                rhs = (lemma_aux_identity(n, i, m - 1) * big_y
+                       + big_y ** (m - 1) * lemma_aux_identity(n, i, 1) * c
+                       + big_y ** (m - 2) * bracket * (LaurentPoly.one() - c))
+                assert rhs == lemma_aux_identity(n, i, m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_normalizes_only_the_first_two_powers(self, n, monkeypatch):
+        calls = []
+
+        def counted(e, p):
+            calls.append(e)
+            return normalize(e, p)
+
+        monkeypatch.setattr(verify_mod, "normalize", counted)
+        p = presentation_Sigma(n)
+        for m_max, expected in ((1, n), (2, 2 * n), (12, 2 * n), (10**6, 2 * n)):
+            calls.clear()
+            report = check_lemma_aux(p, m_max)
+            assert report.passed and report.params["m_max"] == m_max
+            assert len(calls) == expected
+
+
+def _tail(i):
+    return Element.one() - sum((Element.of(y(k, True), y(k)) for k in range(1, i)), Element.zero())
+
+
+def _power_identity(n, i, m, step=None, tail=True, tail_m=None):
+    """lemma_aux_identity restated with three knobs a mutation can turn: the
+    step s, whether the tail keeps its sum, and the m of its 1 - q^(sm)."""
+    step = step or (4 if i == n else 2)
+    ys, q = Element.of(y(i, True)), LaurentPoly.q
+    t = _tail(i) if tail else Element.one()
+    return (Element.of(y(i)) * ys**m - ys**m * Element.of(y(i)) * q(step * m)
+            - ys ** (m - 1) * t * (LaurentPoly.one() - q(step * (m if tail_m is None else tail_m))))
+
+
+class TestLemmaAuxMutations:
+    def test_restatement_matches(self):
+        assert all(_power_identity(n, i, m) == lemma_aux_identity(n, i, m)
+                   for n in range(1, 4) for i in range(1, n + 1) for m in range(1, 5))
+
+    @staticmethod
+    def failing(monkeypatch, n, m_max, **knobs):
+        monkeypatch.setattr(verify_mod, "lemma_aux_identity",
+                            lambda n, i, m: _power_identity(n, i, m, **knobs))
+        report = check_lemma_aux(presentation_Sigma(n), m_max)
+        assert all(w["residual"] > 0 for w in report.witnesses)
+        return [(w["i"], w["m"]) for w in report.witnesses]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dropped_tail(self, n, monkeypatch):
+        assert self.failing(monkeypatch, n, 5, tail=False) == \
+               [(i, m) for i in range(2, n + 1) for m in (1, 2)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_step_2_in_the_last_slot(self, n, monkeypatch):
+        assert self.failing(monkeypatch, n, 5, step=2) == [(n, 1), (n, 2)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tail_coefficient_of_the_first_power_needs_the_second(self, n, monkeypatch):
+        assert self.failing(monkeypatch, n, 1, tail_m=1) == []
+        assert self.failing(monkeypatch, n, 5, tail_m=1) == [(i, 2) for i in range(1, n + 1)]
+
 
 class TestKernels:
     def test_dims_n2_k3(self):
@@ -456,7 +528,7 @@ class TestMutations:
         assert report.witnesses == [{"reduction": "B_in_block", "rank": 1}]
 
 
-# -- from-scratch normalization, kept as the reference for the incremental powers --
+# -- from-scratch normalization of every power, kept as an oracle for the proof --
 
 
 def _scratch_lemma_aux(p, m_max):
@@ -492,9 +564,10 @@ class TestLemmaAuxAgainstScratch:
     def test_perturbed_rule_fails_with_the_same_witnesses(self, n, i, c):
         p = _with_perturbed_rule(presentation_Sigma(n), i, c)
         report = check_lemma_aux(p, self.M_MAX)
-        assert not report.passed
+        scratch = _scratch_lemma_aux(p, self.M_MAX)
+        assert not report.passed and scratch
         assert [(w["i"], w["m"], w["normal_form"]) for w in report.witnesses] == \
-               _scratch_lemma_aux(p, self.M_MAX)
+               [found for found in scratch if found[1] <= 2]
 
 
 # -- mutations of the shared generator description ------------------------------
