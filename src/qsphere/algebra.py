@@ -38,6 +38,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import neg
 from types import MappingProxyType
@@ -48,6 +49,13 @@ ONE = LaurentPoly.one()
 Q = LaurentPoly.q
 
 DEFAULT_FUEL = 1_000_000
+
+# Largest presentation accepted, in rewrite rules (`rule_count`): S up to
+# n = 32, Sigma up to n = 63, so presentation_S(24) with 4 561 rules fits.
+# Relation sets and presentations are kept for the life of the process, at
+# about 1.9 KB and 1.1 KB per rule for S (tracemalloc), so larger n are
+# refused before anything is built.
+MAX_RULES = 2**13
 
 
 class PresentationError(ValueError):
@@ -390,11 +398,31 @@ class Presentation:
 # -- relation sets ---------------------------------------------------------
 
 
-def relations_S(n: int) -> list[tuple[str, Element]]:
-    """Defining relations of the 4n-1 sphere algebra as LHS - RHS elements,
-    including all star conjugates and the sphere relation."""
+def rule_count(kind: str, n: int) -> int:
+    """Rules of the sphere-on presentation of a kind at rank n: one for each
+    pair of distinct generators among g, plus the sphere rule."""
+    g = 4 * n if kind == "S" else 2 * n + 2
+    return g * (g - 1) // 2 + 1
+
+
+def _require_size(kind: str, n: int):
+    """Refuse a rank below 1 or a presentation over MAX_RULES, before building."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    rules = rule_count(kind, n)
+    if rules > MAX_RULES:
+        raise DomainError(f"the {kind} presentation at n = {n} has {rules} "
+                          f"rewrite rules, over the limit of {MAX_RULES}")
+
+
+@lru_cache(maxsize=8)
+def relations_S(n: int) -> tuple[tuple[str, Element], ...]:
+    """Defining relations of the 4n-1 sphere algebra as LHS - RHS elements,
+    including all star conjugates and the sphere relation.
+
+    The result is cached for the last 8 ranks and shared by every caller:
+    a tuple of (name, element) pairs, and no operation mutates an Element."""
+    _require_size("S", n)
     rels: list[tuple[str, Element]] = []
 
     def add(name, element):
@@ -447,11 +475,13 @@ def relations_S(n: int) -> list[tuple[str, Element]]:
     return _with_stars(rels)
 
 
-def relations_Sigma(n: int) -> list[tuple[str, Element]]:
+@lru_cache(maxsize=8)
+def relations_Sigma(n: int) -> tuple[tuple[str, Element], ...]:
     """Defining relations of the 2n+1 quotient algebra on y_1..y_{n+1},
-    including all star conjugates and the sphere relation."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    including all star conjugates and the sphere relation.
+
+    Cached and shared as relations_S is: a tuple of (name, element) pairs."""
+    _require_size("Sigma", n)
     rels: list[tuple[str, Element]] = []
 
     def add(name, element):
@@ -491,7 +521,7 @@ def _with_stars(rels):
         conj = element.star()
         if conj != element:
             out.append((name + "*", conj))
-    return out
+    return tuple(out)
 
 
 # -- presentation construction ----------------------------------------------
@@ -541,15 +571,14 @@ def _scalar_exchange(rules, mover_left: Generator, other: Generator):
 
 
 def _build_presentation(kind: str, n: int, sphere_reduction: bool) -> Presentation:
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    # the relation sets refuse a bad n before anything else is built
     if kind == "S":
-        gens = _generators_S(n)
         rels = relations_S(n)
+        gens = _generators_S(n)
         eliminated = (y(n, True), y(n))
     else:
-        gens = _generators_Sigma(n)
         rels = relations_Sigma(n)
+        gens = _generators_Sigma(n)
         eliminated = (y(n + 1, True), y(n + 1))
 
     proto = Presentation(kind, n, False, gens, {}, None)

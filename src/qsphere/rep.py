@@ -165,8 +165,10 @@ class WeightedShift:
     power: int
 
 
+@lru_cache(maxsize=256)
 def generator_shift(n: int, g: Generator) -> WeightedShift:
-    """The weighted shift of g in the rank-n representation (module docstring)."""
+    """The weighted shift of g in the rank-n representation (module docstring),
+    cached for the last 256 (n, g): 2n + 2 generators act at rank n."""
     if g.family != "y" or not 1 <= g.index <= n + 1:
         raise DomainError(f"generator {g} does not act in the rank-{n} representation")
     i, up = g.index, int(g.starred)
@@ -197,7 +199,8 @@ def generic_image(e: Element, n: int) -> dict:
     out.  A coefficient is a Laurent polynomial in (q, t_1..t_n, lambda),
     a dict from exponent tuple to nonzero rational; zero ones are dropped."""
     total: dict[tuple, dict] = {}
-    for word, coeff in e.items():
+    # exact rational sums do not depend on the order of the terms
+    for word, coeff in e._terms.items():
         d, mono, root, squared = [0] * n, [0] * (n + 2), set(), []
         for g in reversed(word.letters):
             s = generator_shift(n, g)
@@ -212,7 +215,7 @@ def generic_image(e: Element, n: int) -> dict:
                 else:
                     root.add(atom)
             d[s.slot] += s.move
-        poly = {(exp + mono[0], *mono[1:]): c for exp, c in coeff.items()}
+        poly = {(exp + mono[0], *mono[1:]): c for exp, c in coeff._terms.items()}
         for atom in squared:
             poly = _times_atom(poly, atom)
         acc = total.setdefault((tuple(d), frozenset(root)), {})

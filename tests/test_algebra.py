@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qsphere.algebra as algebra_mod
 from qsphere.algebra import (
+    MAX_RULES,
     Element,
     Presentation,
     PresentationError,
@@ -21,6 +23,7 @@ from qsphere.algebra import (
     quotient_map,
     relations_S,
     relations_Sigma,
+    rule_count,
     star,
     x,
     y,
@@ -325,6 +328,32 @@ class TestRelationsClose:
             if name.startswith("sphere") and not sphere:
                 continue
             assert normalize(rel, p).is_zero(), name
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rule_count(self, n):
+        for kind, build in (("S", presentation_S), ("Sigma", presentation_Sigma)):
+            assert len(build(n).rules) == rule_count(kind, n)
+            assert len(build(n, False).rules) == rule_count(kind, n) - 1
+
+    def test_limit_admits_s_at_24(self):
+        assert rule_count("S", 24) == 4561
+        assert rule_count("S", 32) <= MAX_RULES < rule_count("S", 33)
+        assert rule_count("Sigma", 63) <= MAX_RULES < rule_count("Sigma", 64)
+
+    @pytest.mark.parametrize("kind,n", [("S", 33), ("Sigma", 64), ("S", 100000), ("Sigma", 100000)])
+    def test_oversized_presentation_is_refused_before_building(self, kind, n, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a refused presentation was built")
+
+        for name in ("x", "y", "_generators_S", "_generators_Sigma"):
+            monkeypatch.setattr(algebra_mod, name, no_build)
+        build = presentation_S if kind == "S" else presentation_Sigma
+        relations = relations_S if kind == "S" else relations_Sigma
+        for call in (lambda: build(n), lambda: build(n, False), lambda: relations(n)):
+            with pytest.raises(DomainError, match=f"over the limit of {MAX_RULES}"):
+                call()
 
 
 class TestQuotient:

@@ -138,6 +138,16 @@ class TestVerify:
         assert "(K+1)^n = 7^120 basis vectors exceed" in err
 
     @pytest.mark.parametrize("argv", [
+        ["normalize", "--n", "100000", "y1"],
+        ["verify", "--n", "100000", "--K", "0", "--suite", "kernel"],
+        ["normalize", "--algebra", "s", "--n", "33", "y1"],
+    ])
+    def test_oversized_presentation_exits_2(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert "rewrite rules, over the limit of 8192" in err
+
+    @pytest.mark.parametrize("argv", [
         ["verify", "--lambda", "nan,0", "--n", "2", "--K", "3", "--suite", "kernel"],
         ["rep", "matrix", "--lambda", "nan,0", "--n", "1", "--K", "2", "--", "y2"],
     ])

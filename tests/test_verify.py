@@ -15,7 +15,16 @@ import pytest
 
 import qsphere.rep as rep_mod
 import qsphere.verify as verify_mod
-from qsphere.algebra import Element, Presentation, normalize, presentation_S, presentation_Sigma, y
+from qsphere.algebra import (
+    Element,
+    Presentation,
+    normalize,
+    presentation_S,
+    presentation_Sigma,
+    relations_S,
+    relations_Sigma,
+    y,
+)
 from qsphere.rep import (
     RepConfig,
     SparseMatrix,
@@ -634,3 +643,97 @@ class TestGenericProof:
             numeric = check_relations_in_rep(cfg(n=n, K=K, lam=lam), p)
             exact = check_relations_in_rep(cfg(n=n, K=K, lam=lam, mode="exact"), p)
             assert exact.passed == numeric.passed == (name is None), lam
+
+
+# -- caches hold statements, never verdicts ---------------------------------------
+
+STATEMENT_CACHES = (relations_S, relations_Sigma, lemma_aux_identity,
+                    rep_mod.generator_shift, rep_mod.shift_table)
+
+
+def _cold():
+    """Empty every cache of statements, as in a fresh process."""
+    for cached in STATEMENT_CACHES:
+        cached.cache_clear()
+
+
+class TestStatementCaches:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_relation_sets_are_shared_tuples_equal_to_a_fresh_build(self, n):
+        for build in (relations_S, relations_Sigma):
+            rels = build(n)
+            assert isinstance(rels, tuple) and build(n) is rels
+            fresh = build.__wrapped__(n)
+            assert fresh is not rels and fresh == rels
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_second_call_repeats_the_work(self, n, monkeypatch):
+        normalized, imaged = [], []
+
+        def counted_normalize(e, p):
+            normalized.append(e)
+            return normalize(e, p)
+
+        def counted_image(e, n):
+            imaged.append(e)
+            return rep_mod.generic_image(e, n)
+
+        monkeypatch.setattr(verify_mod, "normalize", counted_normalize)
+        monkeypatch.setattr(verify_mod, "generic_image", counted_image)
+        raw = [rel for name, rel in relations_S(n) if not name.startswith("sphere")]
+        checks = [
+            (lambda: check_symbolic_relations(presentation_Sigma(n)), normalized,
+             [rel for _, rel in relations_Sigma(n)]),
+            (lambda: check_symbolic_relations(presentation_S(n, False)), normalized, raw),
+            (lambda: prove_relations_in_rep(n), imaged, [rel for _, rel in relations_Sigma(n)]),
+            (lambda: check_lemma_aux(presentation_Sigma(n), 5), normalized,
+             [lemma_aux_identity(n, i, m) for i in range(1, n + 1) for m in (1, 2)]),
+        ]
+        for check, calls, work in checks:
+            results = []
+            for _ in range(2):
+                calls.clear()
+                results.append(check())
+                assert calls == work
+            first, second = results
+            assert first is not second
+            assert first == second
+
+
+class TestWarmCachesCannotMaskMutations:
+    LAMBDA = UNIT_LAMBDAS[2]
+
+    def relations_reports(self, n):
+        p = presentation_Sigma(n, sphere_reduction=False)
+        return [check_relations_in_rep(cfg(n=n, K=4, lam=self.LAMBDA, mode=mode), p).to_json()
+                for mode in ("exact", "numeric")]
+
+    def warm(self, n):
+        """Fill every statement cache with passing checks."""
+        assert all(r["passed"] for r in self.relations_reports(n))
+        assert check_lemma_aux(presentation_Sigma(n), 5).passed
+
+    @pytest.mark.parametrize("name", MUTATIONS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generator_shift_mutation(self, mutate, name, n):
+        self.warm(n)
+        mutate(name)
+        warm = self.relations_reports(n)
+        _cold()
+        assert warm == self.relations_reports(n)
+        assert all(not r["passed"] and r["witnesses"] for r in warm)
+
+    @pytest.mark.parametrize("knobs,expected", [
+        ({"tail": False}, lambda n: [(i, m) for i in range(2, n + 1) for m in (1, 2)]),
+        ({"step": 2}, lambda n: [(n, 1), (n, 2)]),
+        ({"tail_m": 1}, lambda n: [(i, 2) for i in range(1, n + 1)]),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lemma_aux_knob(self, monkeypatch, knobs, expected, n):
+        self.warm(n)
+        monkeypatch.setattr(verify_mod, "lemma_aux_identity",
+                            lambda n, i, m: _power_identity(n, i, m, **knobs))
+        warm = check_lemma_aux(presentation_Sigma(n), 5).witnesses
+        _cold()
+        assert warm == check_lemma_aux(presentation_Sigma(n), 5).witnesses
+        assert [(w["i"], w["m"]) for w in warm] == expected(n)
