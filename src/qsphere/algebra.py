@@ -50,7 +50,7 @@ Q = LaurentPoly.q
 
 DEFAULT_FUEL = 1_000_000
 
-# Largest presentation accepted, in rewrite rules (`rule_count`): S up to
+# Largest presentation accepted, in rewrite rules (`_rule_count`): S up to
 # n = 32, Sigma up to n = 63, so presentation_S(24) with 4 561 rules fits.
 # Relation sets and presentations are kept for the life of the process, at
 # about 1.9 KB and 1.1 KB per rule for S (tracemalloc), so larger n are
@@ -398,7 +398,7 @@ class Presentation:
 # -- relation sets ---------------------------------------------------------
 
 
-def rule_count(kind: str, n: int) -> int:
+def _rule_count(kind: str, n: int) -> int:
     """Rules of the sphere-on presentation of a kind at rank n: one for each
     pair of distinct generators among g, plus the sphere rule."""
     g = 4 * n if kind == "S" else 2 * n + 2
@@ -409,7 +409,7 @@ def _require_size(kind: str, n: int):
     """Refuse a rank below 1 or a presentation over MAX_RULES, before building."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    rules = rule_count(kind, n)
+    rules = _rule_count(kind, n)
     if rules > MAX_RULES:
         raise DomainError(f"the {kind} presentation at n = {n} has {rules} "
                           f"rewrite rules, over the limit of {MAX_RULES}")

@@ -199,8 +199,7 @@ def generic_image(e: Element, n: int) -> dict:
     out.  A coefficient is a Laurent polynomial in (q, t_1..t_n, lambda),
     a dict from exponent tuple to nonzero rational; zero ones are dropped."""
     total: dict[tuple, dict] = {}
-    # exact rational sums do not depend on the order of the terms
-    for word, coeff in e._terms.items():
+    for word, coeff in e.items():
         d, mono, root, squared = [0] * n, [0] * (n + 2), set(), []
         for g in reversed(word.letters):
             s = generator_shift(n, g)
@@ -215,7 +214,7 @@ def generic_image(e: Element, n: int) -> dict:
                 else:
                     root.add(atom)
             d[s.slot] += s.move
-        poly = {(exp + mono[0], *mono[1:]): c for exp, c in coeff._terms.items()}
+        poly = {(exp + mono[0], *mono[1:]): c for exp, c in coeff.items()}
         for atom in squared:
             poly = _times_atom(poly, atom)
         acc = total.setdefault((tuple(d), frozenset(root)), {})

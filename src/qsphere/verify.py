@@ -45,7 +45,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from ._lazy import lazy_import
 from .algebra import (
@@ -151,16 +150,13 @@ def check_symbolic_relations(p: Presentation) -> CheckReport:
     return report
 
 
-@lru_cache(maxsize=256)
 def lemma_aux_identity(n: int, i: int, m: int) -> Element:
     """LHS - RHS of the lowering/raising power identity
 
         y_i (y_i*)^m - q^(2m) (y_i*)^m y_i
                      - (1 - q^(2m)) (y_i*)^(m-1) (1 - sum_{k<i} y_k* y_k)
 
-    with exponents 4m in place of 2m when i = n.  The element is cached for
-    the last 256 (n, i, m), enough for m <= 2 at every Sigma rank up to
-    the presentation limit, and shared: no operation mutates an Element."""
+    with exponents 4m in place of 2m when i = n."""
     if not 1 <= i <= n:
         raise DomainError("i must lie in 1..n")
     if m < 1:

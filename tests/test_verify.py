@@ -647,8 +647,8 @@ class TestGenericProof:
 
 # -- caches hold statements, never verdicts ---------------------------------------
 
-STATEMENT_CACHES = (relations_S, relations_Sigma, lemma_aux_identity,
-                    rep_mod.generator_shift, rep_mod.shift_table)
+STATEMENT_CACHES = (relations_S, relations_Sigma, rep_mod.generator_shift,
+                    rep_mod.shift_table)
 
 
 def _cold():
