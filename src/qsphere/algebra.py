@@ -169,6 +169,10 @@ class Element:
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key)
 
+    def terms(self):
+        """The (word, coefficient) pairs unsorted, as a read-only view."""
+        return self._terms.items()
+
     def coeff(self, word: Word) -> LaurentPoly:
         return self._terms.get(word, LaurentPoly.zero())
 

@@ -33,8 +33,10 @@ counts the vectors some y_i does not kill.
 Exact mode keeps no tables: `generic_image` applies an element to a generic
 basis vector |k> of the untruncated space, with t_i = q^(k_i) symbolic, so
 that `qsphere.verify` proves an identity for every cutoff, q0 and unit
-lambda at once, so an exact configuration takes any unit lambda.  State
-vectors, `apply_element` and `matrix` are numeric.
+lambda at once, so an exact configuration takes any unit lambda and any
+cutoff.  It reads each generator's shift once per call, keeping only the
+nonzero prefix weights.  State vectors, `apply_element` and `matrix` are
+numeric, and every table is refused past MAX_DIM basis vectors.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ from .scalar import DomainError, radical_canonicalize  # radical_canonicalize: p
 
 np = lazy_import("numpy")
 
-# Largest truncation (K+1)^n accepted.  Bytes per basis vector in numeric
-# mode, from tracemalloc peaks:
+# Largest truncation (K+1)^n for which tables are built (`RepConfig.require_tables`):
+# numeric configurations above it are refused, exact ones accepted for the
+# generic proof.  Bytes per basis vector in numeric mode, from tracemalloc peaks:
 #   fock_array                 8 n B, at most 160 B (n <= 20 once K >= 1)
 #   16 cached shift tables     16 x (8 B target + 16 B amplitude) = 384 B
 #   one matrix() call          350 B at n = 2, 510 B at n = 4, 1.0 KB at
@@ -78,9 +81,8 @@ class RepConfig:
             raise DomainError("n must be >= 1")
         if self.K < 0:
             raise DomainError("cutoff K must be >= 0")
-        if (self.K + 1) ** self.n > MAX_DIM:
-            raise DomainError(f"(K+1)^n = {self.K + 1}^{self.n} basis vectors exceed "
-                              f"the limit of {MAX_DIM}")
+        if self.mode != "exact":
+            self.require_tables()
         q0 = Fraction(self.q0)
         if not 0 < q0 < 1:
             raise DomainError(f"q0 = {self.q0} is outside (0, 1)")
@@ -98,6 +100,14 @@ class RepConfig:
     def dim(self) -> int:
         return (self.K + 1) ** self.n
 
+    def require_tables(self):
+        """Refuse a truncation too large for numeric tables (MAX_DIM).  Numeric
+        configurations are refused at construction; an exact one is refused
+        here by whatever builds a table, since its relations proof needs none."""
+        if self.dim > MAX_DIM:
+            raise DomainError(f"(K+1)^n = {self.K + 1}^{self.n} basis vectors exceed "
+                              f"the limit of {MAX_DIM}")
+
 
 def fock_indices(c: RepConfig):
     """All truncated indices in rank order (lexicographic, k_1 major)."""
@@ -106,6 +116,7 @@ def fock_indices(c: RepConfig):
 
 def fock_array(c: RepConfig) -> np.ndarray:
     """All truncated indices as a (dim, n) array; row r is the index of rank r."""
+    c.require_tables()
     return np.indices((c.K + 1,) * c.n).reshape(c.n, -1).T
 
 
@@ -197,27 +208,40 @@ def generic_image(e: Element, n: int) -> dict:
     coefficient * prod_{atom in root} sqrt(atom) |k + d>.  An atom (i, a, s)
     stands for 1 - q^a t_i^s, and one that a word meets twice is multiplied
     out.  A coefficient is a Laurent polynomial in (q, t_1..t_n, lambda),
-    a dict from exponent tuple to nonzero rational; zero ones are dropped."""
+    a dict from exponent tuple to nonzero rational; zero ones are dropped.
+    Terms are taken in storage order: the sums are exact, so order does
+    not change them."""
+    shifts: dict[Generator, tuple] = {}  # per call, so a patched generator_shift is read
     total: dict[tuple, dict] = {}
-    for word, coeff in e.items():
+    for word, coeff in e.terms():
         d, mono, root, squared = [0] * n, [0] * (n + 2), set(), []
         for g in reversed(word.letters):
-            s = generator_shift(n, g)
-            mono[0] += sum(w * dj for w, dj in zip(s.prefix, d))
-            mono[1:n + 1] = [m + w for m, w in zip(mono[1:n + 1], s.prefix)]
-            mono[n + 1] += s.power
-            if s.step:
-                atom = (s.slot + 1, s.step * (d[s.slot] + s.offset), s.step)
+            s = shifts.get(g)
+            if s is None:
+                s = generator_shift(n, g)
+                s = shifts[g] = (s.slot, s.move, s.step, s.offset, s.power,
+                                 [(j, w) for j, w in enumerate(s.prefix) if w])
+            slot, move, step, offset, power, weights = s
+            for j, w in weights:
+                mono[0] += w * d[j]
+                mono[j + 1] += w
+            mono[n + 1] += power
+            if step:
+                atom = (slot + 1, step * (d[slot] + offset), step)
                 if atom in root:
                     root.remove(atom)
                     squared.append(atom)
                 else:
                     root.add(atom)
-            d[s.slot] += s.move
+            d[slot] += move
         poly = {(exp + mono[0], *mono[1:]): c for exp, c in coeff.items()}
         for atom in squared:
             poly = _times_atom(poly, atom)
-        acc = total.setdefault((tuple(d), frozenset(root)), {})
+        key = (tuple(d), frozenset(root))
+        acc = total.get(key)
+        if acc is None:
+            total[key] = poly
+            continue
         for exps, c in poly.items():
             acc[exps] = acc.get(exps, 0) + c
     images = {key: {exps: c for exps, c in acc.items() if c} for key, acc in total.items()}
@@ -236,6 +260,7 @@ def shift_table(c: RepConfig, g: Generator):
     """(target, amp) arrays for one generator, cached for the last few
     configurations: source rank r goes to target[r] with complex amplitude
     amp[r], zero where the image vanishes."""
+    c.require_tables()
     s = generator_shift(c.n, g)
     ranks, k = np.arange(c.dim), fock_array(c)
     ki = k[:, s.slot]
@@ -326,6 +351,7 @@ class SparseMatrix:
 
 def matrix(e: Element, c: RepConfig) -> SparseMatrix:
     """Assemble the numeric matrix of an element, every column at once."""
+    c.require_tables()
     keys, values = _numeric_action(e, np.arange(c.dim), np.ones(c.dim, dtype=complex), c, c.dim)
     return SparseMatrix(c.dim, keys % c.dim, keys // c.dim, values)
 

@@ -156,19 +156,25 @@ def lemma_aux_identity(n: int, i: int, m: int) -> Element:
         y_i (y_i*)^m - q^(2m) (y_i*)^m y_i
                      - (1 - q^(2m)) (y_i*)^(m-1) (1 - sum_{k<i} y_k* y_k)
 
-    with exponents 4m in place of 2m when i = n."""
+    with exponents 4m in place of 2m when i = n, written out in closed
+    form.  With Y = y_i*, s the step and c = q^(sm), its terms are
+
+        y_i Y^m                      coefficient 1
+        Y^m y_i                      coefficient -c
+        Y^(m-1)                      coefficient c - 1
+        Y^(m-1) y_k* y_k, each k < i coefficient 1 - c
+
+    and these words are pairwise distinct, so no two terms combine."""
     if not 1 <= i <= n:
         raise DomainError("i must lie in 1..n")
     if m < 1:
         raise DomainError("m must be >= 1")
-    step = 4 if i == n else 2
-    ys = Element.of(y(i, True))
-    lhs = Element.of(y(i)) * ys**m
-    tail = Element.one()
+    ys, c = y(i, True), Q((4 if i == n else 2) * m)
+    low = (ys,) * (m - 1)  # the letters of Y^(m-1)
+    terms = {Word((y(i), *low, ys)): ONE, Word((*low, ys, y(i))): -c, Word(low): c - ONE}
     for k in range(1, i):
-        tail = tail - Element.of(y(k, True), y(k))
-    rhs = ys**m * Element.of(y(i)) * Q(step * m) + ys**(m - 1) * tail * (ONE - Q(step * m))
-    return lhs - rhs
+        terms[Word((*low, y(k, True), y(k)))] = ONE - c
+    return Element(terms)
 
 
 def check_lemma_aux(p: Presentation, m_max: int) -> CheckReport:
@@ -272,6 +278,7 @@ def joint_kernel_dims(c: RepConfig) -> list[int]:
     """Dimensions of the nested joint kernels of y_1, .., y_k for k = 1..n.
     The stacked matrix of y_1..y_k has orthogonal columns (see qsphere.rep),
     so its nullity is the number of basis vectors every y_i, i <= k, kills."""
+    c.require_tables()
     killed = np.ones(c.dim, dtype=bool)
     dims = []
     for i in range(1, c.n + 1):
@@ -481,6 +488,8 @@ def check_relations_in_rep(c: RepConfig, p: Presentation) -> CheckReport:
 # -- suite orchestration -------------------------------------------------------
 
 SUITES = ("all", "relations", "lemma-aux", "lemma-main", "kernel", "basis", "confluence")
+# the suites that build numeric tables on the truncated space, in either mode
+TABLE_SUITES = ("lemma-main", "kernel", "basis")
 
 
 def run_suite(suite: str, p: Presentation, c: RepConfig | None, m_max: int = 5) -> list[CheckReport]:

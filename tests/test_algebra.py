@@ -79,6 +79,16 @@ PRESENTATION_KEYS = [(build, n, sphere) for build in (presentation_S, presentati
                      for n in (1, 2, 3) for sphere in (True, False)]
 
 
+class TestElementTerms:
+    def test_unsorted_view_of_the_sorted_items(self):
+        later, earlier = Word((y(2),)), Word((y(1),))
+        e = Element({later: Q(1), earlier: ONE})
+        assert list(e.terms()) == [(later, Q(1)), (earlier, ONE)]
+        assert e.items() == [(earlier, ONE), (later, Q(1))]
+        with pytest.raises(TypeError):
+            e.terms()[later] = ONE
+
+
 class TestStar:
     def test_single_generator(self):
         assert star(Element.of(x(1))) == Element.of(x(1, True))

@@ -138,6 +138,28 @@ class TestVerify:
         assert "(K+1)^n = 7^120 basis vectors exceed" in err
 
     @pytest.mark.parametrize("argv", [
+        ["verify", "--mode", "exact", "--suite", "relations", "--n", "6", "--K", "10"],
+        ["verify", "--mode", "exact", "--suite", "lemma-aux", "--n", "6", "--K", "10"],
+        ["verify", "--mode", "exact", "--suite", "confluence", "--n", "3", "--K", "200"],
+    ])
+    def test_exact_suites_without_tables_take_any_cutoff(self, argv):
+        code, out, err = run_cli([*argv, "--format", "json"])
+        assert code == 0 and err == ""
+        assert all(report["passed"] for report in json.loads(out))
+
+    @pytest.mark.parametrize("suite", ["all", "lemma-main", "kernel", "basis"])
+    def test_exact_table_suites_are_refused_before_the_presentation(self, suite, monkeypatch):
+        from qsphere import cli as cli_mod
+
+        def no_build(*args):
+            raise AssertionError("the presentation was built for a refused size")
+
+        monkeypatch.setattr(cli_mod, "presentation_Sigma", no_build)
+        code, out, err = run_cli(["verify", "--mode", "exact", "--suite", suite, "--n", "6", "--K", "10"])
+        assert code == 2 and out == ""
+        assert "(K+1)^n = 11^6 basis vectors exceed the limit of 1048576" in err
+
+    @pytest.mark.parametrize("argv", [
         ["normalize", "--n", "100000", "y1"],
         ["verify", "--n", "100000", "--K", "0", "--suite", "kernel"],
         ["normalize", "--algebra", "s", "--n", "33", "y1"],

@@ -212,8 +212,9 @@ def _power_identity(n, i, m, step=None, tail=True, tail_m=None):
 
 class TestLemmaAuxMutations:
     def test_restatement_matches(self):
+        # the closed form against the restatement through Element products
         assert all(_power_identity(n, i, m) == lemma_aux_identity(n, i, m)
-                   for n in range(1, 4) for i in range(1, n + 1) for m in range(1, 5))
+                   for n in range(1, 7) for i in range(1, n + 1) for m in range(1, 13))
 
     @staticmethod
     def failing(monkeypatch, n, m_max, **knobs):
@@ -643,6 +644,79 @@ class TestGenericProof:
             numeric = check_relations_in_rep(cfg(n=n, K=K, lam=lam), p)
             exact = check_relations_in_rep(cfg(n=n, K=K, lam=lam, mode="exact"), p)
             assert exact.passed == numeric.passed == (name is None), lam
+
+
+class TestStatementsTakeNoElementProducts:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_power_identities_and_images(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an Element product was taken")
+
+        # the presentation and the relation set are built before the patch
+        p = presentation_Sigma(n)
+        relations_Sigma(n)
+        monkeypatch.setattr(Element, "__mul__", refuse)
+        monkeypatch.setattr(Element, "__pow__", refuse)
+        assert check_lemma_aux(p, 12).passed
+        assert prove_relations_in_rep(n) == []
+
+
+class TestImagesIgnoreTermOrder:
+    @pytest.mark.parametrize("name", [None, *MUTATIONS])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reversed_terms_give_the_same_image(self, mutate, name, n):
+        if name is not None:
+            mutate(name)
+        nonzero = 0
+        for _, rel in relations_Sigma(n):
+            # a relation, and its words with unit coefficients, whose image does not cancel
+            for e in (rel, Element({w: LaurentPoly.one() for w in rel.words()})):
+                terms = list(e.terms())
+                backwards = Element(dict(reversed(terms)))
+                assert list(backwards.terms()) == terms[::-1]
+                image = rep_mod.generic_image(e, n)
+                assert rep_mod.generic_image(backwards, n) == image
+                nonzero += bool(image)
+        assert nonzero
+
+
+class TestTableLimit:
+    """(K+1)^n > 2^20 is refused where numeric tables are built; the exact
+    relations proof builds none and takes any cutoff."""
+
+    REFUSED = r"\(K\+1\)\^n = 11\^6 basis vectors exceed the limit of 1048576"
+
+    def test_exact_relations_take_any_cutoff(self):
+        p = presentation_Sigma(6, sphere_reduction=False)
+        for K in (10, 12, 1000):
+            report = check_relations_in_rep(cfg(n=6, K=K, lam=1j, mode="exact"), p)
+            assert report.passed and report.witnesses == []
+
+    def test_numeric_configuration_is_refused(self):
+        with pytest.raises(DomainError, match=self.REFUSED):
+            cfg(n=6, K=10)
+
+    @pytest.mark.parametrize("build", [
+        check_kernel_structure,
+        joint_kernel_dims,
+        lambda c: check_lemma_main(c, 1),
+        check_lowest_weight_basis,
+        fock_array,
+        lambda c: shift_table(c, y(1)),
+        lambda c: matrix(Element.of(y(1)), c),
+        lambda c: run_suite("kernel", presentation_Sigma(6), c),
+    ], ids=["kernel", "joint_kernel_dims", "lemma_main", "basis", "fock_array", "shift_table",
+            "matrix", "run_suite"])
+    def test_exact_tables_are_refused_before_allocation(self, build):
+        c = cfg(n=6, K=10, mode="exact")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=self.REFUSED):
+                build(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a table of 11^6 vectors takes at least 1.7 MB
 
 
 # -- caches hold statements, never verdicts ---------------------------------------
