@@ -50,7 +50,6 @@ from .verify import (
     check_lowest_weight_basis,
     check_relations_in_rep,
     check_symbolic_relations,
-    joint_kernel_dims,
     run_suite,
 )
 

@@ -76,14 +76,16 @@ def _numeric_config(args, command: str) -> RepConfig:
     return _rep_config(args)
 
 
-def _add_common(sub):
+def _add_common(sub, representation=True):
     sub.add_argument("--algebra", choices=("s", "sigma"), default="sigma")
     sub.add_argument("--n", type=int, default=1)
+    sub.add_argument("--sphere", choices=("on", "off"), default="on")
+    if not representation:  # normalize reads only the presentation
+        return
     sub.add_argument("--q", default="1/2", help="exact rational, e.g. 1/2")
     sub.add_argument("--lambda", dest="lam", default="1",
                      help="1, -1, i, -i, or re,im on the unit circle")
     sub.add_argument("--K", type=int, default=6)
-    sub.add_argument("--sphere", choices=("on", "off"), default="on")
     sub.add_argument("--mode", choices=("numeric", "exact"), default="numeric")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -161,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_norm = subs.add_parser("normalize", help="print the canonical normal form")
-    _add_common(p_norm)
+    _add_common(p_norm, representation=False)
     p_norm.add_argument("expr")
     p_norm.set_defaults(func=cmd_normalize)
 

@@ -26,9 +26,7 @@ vectors ranked lexicographically (k_1 major), each source rank gets one
 target rank, a stride (K+1)^(n-i) away for y_i and y_i*, and one complex
 amplitude, zero where the image vanishes, computed term by term as scalar
 complex arithmetic would.  A word acts on many basis vectors at once by
-composing its tables right to left.  Each y_i is injective on its support,
-so the stacked matrices of y_1..y_k have orthogonal columns and their rank
-counts the vectors some y_i does not kill.
+composing its tables right to left.
 
 Exact mode keeps no tables: `generic_image` applies an element to a generic
 basis vector |k> of the untruncated space, with t_i = q^(k_i) symbolic, so
@@ -103,7 +101,7 @@ class RepConfig:
     def require_tables(self):
         """Refuse a truncation too large for numeric tables (MAX_DIM).  Numeric
         configurations are refused at construction; an exact one is refused
-        here by whatever builds a table, since its relations proof needs none."""
+        here by whatever builds a table, since its proofs need none."""
         if self.dim > MAX_DIM:
             raise DomainError(f"(K+1)^n = {self.K + 1}^{self.n} basis vectors exceed "
                               f"the limit of {MAX_DIM}")

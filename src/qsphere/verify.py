@@ -2,10 +2,14 @@
 
 Symbolic checks normalize a relation (or a derived power identity) and
 demand the zero element.  Representation checks apply relations to
-truncated basis vectors, compare operator blocks, count joint kernels,
-and rebuild the orthonormal basis from the lowest-weight vector.  Each
-check returns a CheckReport with the worst residual and the failing
-witnesses, serializable as JSON.
+truncated basis vectors, compare operator blocks, and prove the kernel
+dimensions and the lowest-weight basis.  Each check returns a CheckReport
+with the worst residual and the failing witnesses, serializable as JSON.
+
+The kernel and basis checks are proofs in either mode: each demands of
+the generic image (below) of single generators the weighted shift its
+argument rests on.  `lemma_main` samples one truncation in either mode,
+and the mode chooses between proof and sample only for the relations.
 
 Exact mode proves the relations in the representation instead of
 sampling one truncation.  On a generic basis vector |k> of the untruncated
@@ -42,7 +46,6 @@ the relation, the shift d, the root atoms and the nonzero coefficient.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -274,30 +277,42 @@ def check_confluence(p: Presentation) -> CheckReport:
 # -- representation checks ----------------------------------------------------
 
 
-def joint_kernel_dims(c: RepConfig) -> list[int]:
-    """Dimensions of the nested joint kernels of y_1, .., y_k for k = 1..n.
-    The stacked matrix of y_1..y_k has orthogonal columns (see qsphere.rep),
-    so its nullity is the number of basis vectors every y_i, i <= k, kills."""
-    c.require_tables()
-    killed = np.ones(c.dim, dtype=bool)
-    dims = []
-    for i in range(1, c.n + 1):
-        killed &= shift_table(c, y(i))[1] == 0
-        dims.append(int(np.count_nonzero(killed)))
-    return dims
+def _shift_witnesses(n: int, starred: bool, premises) -> list[dict]:
+    """Witnesses against the generic image of each y_i, i <= n (y_i* if
+    starred): it must be one vector |k -+ e_i>, and premises(i, root,
+    coefficient) gives the further premises on its term, each a name and
+    whether it holds.  A witness names the generator and the first premise
+    that fails."""
+    witnesses = []
+    for i in range(1, n + 1):
+        g, move = y(i, starred), 1 if starred else -1
+        image = generic_image(Element.of(g), n)
+        [((shift, root), coeff)] = image.items() if len(image) == 1 else [((None, frozenset()), {})]
+        unit = tuple(move * (j == i) for j in range(1, n + 1))
+        checks = [("one vector", len(image) == 1),
+                  (f"shift {'+' if starred else '-'}e_i", shift == unit), *premises(i, root, coeff)]
+        failed = [name for name, holds in checks if not holds]
+        if failed:
+            witnesses.append({"generator": str(g), "premise": failed[0]})
+    return witnesses
 
 
 def check_kernel_structure(c: RepConfig) -> CheckReport:
-    """dim H_k must equal (K+1)^(n-k); in particular the joint kernel of
-    all lowering generators is one-dimensional."""
-    dims = joint_kernel_dims(c)
-    report = CheckReport("kernel_structure", _rep_params(c), tolerance=0.0)
-    for k, got in enumerate(dims, start=1):
-        want = (c.K + 1) ** (c.n - k)
-        if got != want:
-            report.witnesses.append({"k": k, "dim": got, "expected": want})
-            report.max_residual = max(report.max_residual, float(abs(got - want)))
-    return report
+    """dim H_k must equal (K+1)^(n-k), H_k the joint kernel of y_1..y_k on
+    the truncated space; so the joint kernel of all of them is the vacuum.
+
+    A proof for every K, q0 in (0, 1) and unit lambda: the generic image of
+    each y_i, i <= n, must be the shift -e_i under the single atom
+    sqrt(1 - t_i^s), s > 0, times a monomial.  The atom vanishes exactly at
+    k_i = 0 and the monomial nowhere, so y_i kills exactly the |k> with
+    k_i = 0 and maps the others to distinct basis vectors, and H_k is
+    spanned by the |k> with k_1 = .. = k_k = 0."""
+    def premises(i, root, coeff):
+        return (("root sqrt(1 - t_i^s), s > 0", {(j, a, s > 0) for j, a, s in root} == {(i, 0, True)}),
+                ("monomial coefficient", len(coeff) == 1))
+
+    return CheckReport("kernel_structure", _rep_params(c), tolerance=0.0,
+                       witnesses=_shift_witnesses(c.n, False, premises))
 
 
 def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
@@ -363,49 +378,25 @@ def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
 
 
 def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
-    """Rebuild |k> from the vacuum by raising and normalizing with
-    q-shifted factorials; the Gram matrix must be the identity and every
-    constructed vector must coincide with its basis vector.
+    """Rebuild |k> from the vacuum by raising and normalizing with q-shifted
+    factorials: on the grid k <= K - 1, (y_1*)^(k_1) .. (y_n*)^(k_n) |0> must
+    be prod_i sqrt((q^s;q^s)_(k_i)) |k>, s = 4 in slot n and 2 otherwise, so
+    that the Gram matrix of the normalized vectors is the identity.
 
-    All grid indices are raised together: (y_i*)^(k_i) is applied one
-    factor at a time, i = n down to 1, through the shift table of y_i*.
-    Each result is a multiple v |r> of one basis vector, so the Gram matrix
-    holds |v|^2 on its diagonal and conj(v) v' between vectors sharing r."""
-    n, K = c.n, c.K
-    indices = fock_array(c)
-    grid = np.flatnonzero(np.all(indices <= K - 1, axis=1))
-    report = CheckReport("lowest_weight_basis", _rep_params(c), tolerance=NUMERIC_TOL)
+    A proof for every K, q0 in (0, 1) and unit lambda: the generic image of
+    each y_i*, i <= n, must be the shift +e_i under the single atom
+    sqrt(1 - q^s t_i^s), times 1 times a monomial in t_1..t_(i-1) alone.
+    Slot i is raised while the slots before it are 0, where that monomial
+    is 1, so each step multiplies the vector by sqrt(1 - q^(s(k_i+1))), and
+    no step starts at the cutoff."""
+    def premises(i, root, coeff):
+        s = 4 if i == c.n else 2
+        return (("root sqrt(1 - q^s t_i^s), s = 4 in slot n, else 2", root == {(i, s, s)}),
+                ("coefficient 1 times t_j, j < i", list(coeff.values()) == [1]
+                 and not any(e for exps in coeff for e in (exps[0], *exps[i:]))))
 
-    rank, amp = np.zeros(len(grid), dtype=np.int64), np.ones(len(grid), dtype=complex)
-    for i in range(n, 0, -1):
-        target, factor = shift_table(c, y(i, True))
-        for power in range(K - 1):
-            more = indices[grid, i - 1] > power
-            amp[more] *= factor[rank[more]]
-            rank[more] = target[rank[more]]
-
-    pochhammer = {}  # (q^s;q^s)_k at q0, exactly, as a running product
-    for step in (2, 4):
-        value = Fraction(1)
-        for ki in range(K):
-            pochhammer[step, ki] = value
-            value *= 1 - c.q0 ** (step * (ki + 1))
-    norms = [float(math.prod(pochhammer[4 if i == n else 2, ki] for i, ki in enumerate(k, 1)))
-             for k in indices[grid].tolist()]
-    values = amp / np.sqrt(norms)
-    mags = np.abs(values)
-    defects = np.where(rank == grid, np.abs(values - 1.0), np.maximum(mags, 1.0))
-    report.max_residual = float(np.max(defects, initial=0.0))
-    for j in np.flatnonzero(defects > NUMERIC_TOL).tolist():
-        report.witnesses.append({"k": indices[grid[j]].tolist(), "basis_defect": float(defects[j])})
-
-    order = np.lexsort((-mags, rank))  # largest magnitude first within each rank
-    shared = mags[order[1:]] * mags[order[:-1]] * (rank[order[1:]] == rank[order[:-1]])
-    gram_defect = float(max(np.max(np.abs(mags**2 - 1.0), initial=0.0), np.max(shared, initial=0.0)))
-    report.max_residual = max(report.max_residual, gram_defect)
-    if gram_defect > NUMERIC_TOL:
-        report.witnesses.append({"gram_defect": gram_defect})
-    return report
+    return CheckReport("lowest_weight_basis", _rep_params(c), tolerance=0.0,
+                       witnesses=_shift_witnesses(c.n, True, premises))
 
 
 def _monomial_text(exps, names) -> str:
@@ -452,16 +443,12 @@ def prove_relations_in_rep(n: int) -> list[dict]:
     return witnesses
 
 
-def check_relations_in_rep(c: RepConfig, p: Presentation) -> CheckReport:
-    """Every raw defining relation must vanish on every interior basis
-    vector (the sphere relation on every vector).  Exact mode proves this
-    for every K, q0 and unit lambda at once (`prove_relations_in_rep`);
-    numeric mode reads all columns from each relation's matrix and demands
-    residuals within 1e-12."""
-    if p.kind != "Sigma" or p.n != c.n:
-        raise DomainError("relations are checked in the matching Sigma presentation")
-    if p.sphere_reduction:
-        raise DomainError("relations are checked raw: use a sphere-off presentation")
+def check_relations_in_rep(c: RepConfig) -> CheckReport:
+    """Every raw defining relation (`algebra.relations_Sigma`) must vanish on
+    every interior basis vector (the sphere relation on every vector).  Exact
+    mode proves this for every K, q0 and unit lambda at once
+    (`prove_relations_in_rep`); numeric mode reads all columns from each
+    relation's matrix and demands residuals within 1e-12."""
     if c.K < 2:
         raise DomainError("interior checks need K >= 2")
     if c.mode == "exact":
@@ -489,7 +476,7 @@ def check_relations_in_rep(c: RepConfig, p: Presentation) -> CheckReport:
 
 SUITES = ("all", "relations", "lemma-aux", "lemma-main", "kernel", "basis", "confluence")
 # the suites that build numeric tables on the truncated space, in either mode
-TABLE_SUITES = ("lemma-main", "kernel", "basis")
+TABLE_SUITES = ("lemma-main",)
 
 
 def run_suite(suite: str, p: Presentation, c: RepConfig | None, m_max: int = 5) -> list[CheckReport]:
@@ -502,8 +489,7 @@ def run_suite(suite: str, p: Presentation, c: RepConfig | None, m_max: int = 5) 
         if name == "relations":
             reports.append(check_symbolic_relations(p))
             if c is not None and p.kind == "Sigma":
-                raw = presentation_Sigma(p.n, sphere_reduction=False)
-                reports.append(check_relations_in_rep(c, raw))
+                reports.append(check_relations_in_rep(c))
             continue
         if name == "confluence":
             reports.append(check_confluence(p))

@@ -25,12 +25,12 @@ from qsphere.rep import RepConfig, matrix, yn1_spectrum
 from qsphere.scalar import LaurentPoly
 from qsphere.verify import (
     check_confluence,
+    check_kernel_structure,
     check_lemma_aux,
     check_lemma_main,
     check_lowest_weight_basis,
     check_relations_in_rep,
     check_symbolic_relations,
-    joint_kernel_dims,
 )
 
 Q_GRID = (Fraction(1, 3), Fraction(1, 2), Fraction(3, 5))
@@ -73,13 +73,12 @@ def test_03_relations_in_representation():
     ok = True
     worst_numeric = 0.0
     for n in (1, 2):
-        raw = presentation_Sigma(n, sphere_reduction=False)
         for q0 in Q_GRID:
             for lam in LAMBDA_GRID:
-                numeric = check_relations_in_rep(RepConfig(n, q0, lam, 6, "numeric"), raw)
+                numeric = check_relations_in_rep(RepConfig(n, q0, lam, 6, "numeric"))
                 ok = ok and numeric.passed
                 worst_numeric = max(worst_numeric, numeric.max_residual)
-                exact = check_relations_in_rep(RepConfig(n, q0, lam, 6, "exact"), raw)
+                exact = check_relations_in_rep(RepConfig(n, q0, lam, 6, "exact"))
                 ok = ok and exact.passed and exact.max_residual == 0.0
     elapsed = time.perf_counter() - start
     _criterion("3 relations hold in the representation",
@@ -108,10 +107,10 @@ def test_05_kernel_structure():
     ok = True
     for n in (1, 2, 3):
         for K in (3, 4, 5, 6):
-            dims = joint_kernel_dims(RepConfig(n, Fraction(1, 2), 1, K, "numeric"))
-            expected = [(K + 1) ** (n - k) for k in range(1, n + 1)]
-            ok = ok and dims == expected and dims[-1] == 1
-    _criterion("5 kernel structure", ok, "dim H_k = (K+1)^(n-k), dim H_n = 1")
+            for mode in ("numeric", "exact"):
+                report = check_kernel_structure(RepConfig(n, Fraction(1, 2), 1, K, mode))
+                ok = ok and report.passed and report.witnesses == []
+    _criterion("5 kernel structure", ok, "proved: dim H_k = (K+1)^(n-k), dim H_n = 1")
 
 
 def test_06_lowest_weight_orthonormality():

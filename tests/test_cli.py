@@ -63,6 +63,14 @@ class TestNormalize:
         assert code == 2
         assert "unknown generator" in err
 
+    @pytest.mark.parametrize("flag,value", [("--q", "7/2"), ("--lambda", "i"), ("--K", "3"),
+                                            ("--mode", "exact"), ("--format", "json")])
+    def test_representation_flags_exit_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "--n", "1", flag, value, "y1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestVerify:
     def test_full_suite_passes(self):
@@ -147,7 +155,22 @@ class TestVerify:
         assert code == 0 and err == ""
         assert all(report["passed"] for report in json.loads(out))
 
-    @pytest.mark.parametrize("suite", ["all", "lemma-main", "kernel", "basis"])
+    @pytest.mark.parametrize("suite", ["kernel", "basis"])
+    def test_exact_kernel_and_basis_build_no_table(self, suite, monkeypatch):
+        from qsphere import rep as rep_mod
+
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(rep_mod, "fock_array", refuse)
+        monkeypatch.setattr(rep_mod, "shift_table", refuse)
+        code, out, err = run_cli(["verify", "--mode", "exact", "--suite", suite, "--n", "6", "--K", "10",
+                                  "--format", "json"])
+        assert code == 0 and err == ""
+        [report] = json.loads(out)
+        assert report["passed"] and report["params"]["K"] == 10
+
+    @pytest.mark.parametrize("suite", ["all", "lemma-main"])
     def test_exact_table_suites_are_refused_before_the_presentation(self, suite, monkeypatch):
         from qsphere import cli as cli_mod
 
@@ -304,19 +327,24 @@ def run(argv):
     loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
     return [code, out.getvalue(), "numpy._core" in sys.modules, loaded]
 
-print(json.dumps([run(json.loads(sys.argv[1])), run(json.loads(sys.argv[2]))]))
+print(json.dumps([run(json.loads(argv)) for argv in sys.argv[1:]]))
 """
+
+
+def run_fresh(*argvs):
+    """[exit code, stdout, numpy._core loaded, numpy.* modules loaded] after each
+    argv, run one after another in a fresh interpreter: the test process has
+    numpy loaded already."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_NUMPY_SCRIPT, *map(json.dumps, argvs)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
 
 
 class TestLazyNumpy:
     def test_normalize_never_runs_numpy(self):
-        # A fresh interpreter: the test process has numpy loaded already.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", LAZY_NUMPY_SCRIPT, json.dumps(NORMALIZE_ARGV),
-                               json.dumps(MATRIX_ARGV)], env=env, capture_output=True, text=True,
-                              timeout=120, check=True)
-        normalized, matrix = json.loads(proc.stdout)
+        normalized, matrix = run_fresh(NORMALIZE_ARGV, MATRIX_ARGV)
         assert normalized == [0, NORMALIZE_OUT + "\n", False, []]
         code, out, _, loaded = matrix
         assert (code, out) == (0, MATRIX_OUT + "\n")
@@ -324,3 +352,11 @@ class TestLazyNumpy:
         readme = (ROOT / "README.md").read_text()
         assert f"# {NORMALIZE_OUT}\n" in readme
         assert f"# {MATRIX_OUT}\n" in readme
+
+    def test_kernel_basis_and_exact_relations_never_run_numpy(self):
+        argvs = [["verify", "--n", "3", "--K", "7", "--mode", mode, "--suite", suite, "--format", "json"]
+                 for suite in ("kernel", "basis") for mode in ("numeric", "exact")]
+        argvs.append(["verify", "--n", "3", "--K", "7", "--mode", "exact", "--suite", "relations"])
+        for argv, (code, out, _, loaded) in zip(argvs, run_fresh(*argvs)):
+            assert code == 0 and "FAIL" not in out and out, argv
+            assert loaded == [], argv

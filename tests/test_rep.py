@@ -433,11 +433,11 @@ class TestExactRelations:
                 assert sympy.expand(ours.get(d, 0) - want.get(d, 0)) == 0, (e, d)
 
     def test_exact_relations_memory(self):
-        c, p = cfg(n=3, K=4, mode="exact"), presentation_Sigma(3, sphere_reduction=False)
-        check_relations_in_rep(c, p)  # a first run, so that one-off allocations are not counted
+        c = cfg(n=3, K=4, mode="exact")
+        check_relations_in_rep(c)  # a first run, so that one-off allocations are not counted
         tracemalloc.start()
         try:
-            report = check_relations_in_rep(c, p)
+            report = check_relations_in_rep(c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -36,6 +36,7 @@ from qsphere.rep import (
 )
 from qsphere.scalar import DomainError, LaurentPoly, qpochhammer
 from qsphere.verify import (
+    GUARD_POINTS,
     SCATTER_MIDDLE_MAX,
     check_confluence,
     check_kernel_structure,
@@ -44,7 +45,6 @@ from qsphere.verify import (
     check_lowest_weight_basis,
     check_relations_in_rep,
     check_symbolic_relations,
-    joint_kernel_dims,
     lemma_aux_identity,
     prove_relations_in_rep,
     run_suite,
@@ -241,17 +241,20 @@ class TestLemmaAuxMutations:
 
 class TestKernels:
     def test_dims_n2_k3(self):
-        dims = joint_kernel_dims(cfg(n=2, K=3))
-        assert dims == [4, 1]
+        c = cfg(n=2, K=3)
+        assert _svd_kernel_dims(c) == [4, 1]
+        assert check_kernel_structure(c).passed
 
     def test_lowest_weight_space_always_one_dim(self):
         for n in (1, 2):
             for K in (3, 4):
-                dims = joint_kernel_dims(cfg(n=n, K=K, q0=Fraction(1, 3)))
-                assert dims[-1] == 1
+                c = cfg(n=n, K=K, q0=Fraction(1, 3))
+                assert _svd_kernel_dims(c)[-1] == 1
+                assert check_kernel_structure(c).passed
 
     def test_n1_k5(self):
-        assert joint_kernel_dims(cfg(n=1, K=5)) == [1]
+        assert _svd_kernel_dims(cfg(n=1, K=5)) == [1]
+        assert check_kernel_structure(cfg(n=1, K=5)).passed
 
     def test_structure_report(self):
         report = check_kernel_structure(cfg(n=3, K=3))
@@ -306,8 +309,7 @@ class TestLowestWeightBasis:
 
 class TestRelationsInRep:
     def test_numeric_grid_point(self):
-        p = presentation_Sigma(2, sphere_reduction=False)
-        report = check_relations_in_rep(cfg(n=2, q0=Fraction(3, 5), lam=1j, K=4), p)
+        report = check_relations_in_rep(cfg(n=2, q0=Fraction(3, 5), lam=1j, K=4))
         assert report.passed, report.witnesses[:2]
 
     def test_exact_mode_is_a_proof_for_every_cutoff(self):
@@ -316,23 +318,13 @@ class TestRelationsInRep:
         assert all(prove_relations_in_rep(n) == [] for n in range(1, 11))
         assert time.perf_counter() - start < 1.0
         for n in range(1, 11):
-            p = presentation_Sigma(n, sphere_reduction=False)
-            report = check_relations_in_rep(cfg(n=n, K=2, lam=1j, mode="exact"), p)
+            report = check_relations_in_rep(cfg(n=n, K=2, lam=1j, mode="exact"))
             assert report.passed and report.max_residual == 0.0 and report.witnesses == []
 
     def test_exact_mode_gives_literal_zero(self):
-        p = presentation_Sigma(1, sphere_reduction=False)
-        report = check_relations_in_rep(cfg(n=1, K=5, mode="exact"), p)
+        report = check_relations_in_rep(cfg(n=1, K=5, mode="exact"))
         assert report.passed
         assert report.max_residual == 0.0
-
-    def test_requires_raw_presentation(self):
-        with pytest.raises(DomainError):
-            check_relations_in_rep(cfg(n=1), presentation_Sigma(1))
-
-    def test_requires_matching_n(self):
-        with pytest.raises(DomainError):
-            check_relations_in_rep(cfg(n=2), presentation_Sigma(1, sphere_reduction=False))
 
 
 class TestSuite:
@@ -400,17 +392,27 @@ def _svd_lemma_main_residual(c, k):
                masked_max(mu * a_h - u_op @ a_h @ u_op.conj().T))
 
 
+def _svd_kernel_dims(c):
+    """Nullities of the stacked matrices of y_1..y_k, k = 1..n, by SVD."""
+    dims = []
+    for k in range(1, c.n + 1):
+        stacked = np.vstack([_dense(Element.of(y(i)), c) for i in range(1, k + 1)])
+        sv = np.linalg.svd(stacked, compute_uv=False)
+        dims.append(int(np.sum(sv < 1e-10)) + max(0, c.dim - len(sv)))
+    return dims
+
+
+def _kernel_dims(c):
+    return [(c.K + 1) ** (c.n - k) for k in range(1, c.n + 1)]
+
+
 class TestAgainstSingularValues:
     def test_kernel_count_equals_svd_nullity(self):
         for n in (1, 2, 3):
             for K in range(6):
                 c = cfg(n=n, K=K, q0=Fraction(1, 3) if K % 2 else Fraction(3, 5))
-                want = []
-                for k in range(1, n + 1):
-                    stacked = np.vstack([_dense(Element.of(y(i)), c) for i in range(1, k + 1)])
-                    sv = np.linalg.svd(stacked, compute_uv=False)
-                    want.append(int(np.sum(sv < 1e-10)) + max(0, c.dim - len(sv)))
-                assert joint_kernel_dims(c) == want, (n, K)
+                assert _svd_kernel_dims(c) == _kernel_dims(c), (n, K)
+                assert check_kernel_structure(c).passed
 
     def test_lemma_main_residuals_match_svd_basis(self):
         for n in (1, 2, 3):
@@ -423,18 +425,19 @@ class TestAgainstSingularValues:
                         assert abs(report.max_residual - _svd_lemma_main_residual(c, k)) < 1e-12
 
 
-# -- the dense basis check, kept as the reference for the one-entry reduction ----
+# -- the dense basis check, kept as the oracle for the basis proof -----------------
 
 
-def _dense_lowest_weight_basis(c):
+def _dense_lowest_weight_basis(c, table=shift_table):
     """Worst basis or Gram defect and the witness count, from the dense vectors
-    of the raised grid and their full Gram matrix."""
+    of the raised grid and their full Gram matrix; the raising generators
+    act through `table`."""
     n, K = c.n, c.K
     indices = fock_array(c)
     grid = np.flatnonzero(np.all(indices <= K - 1, axis=1))
     rank, amp = np.zeros(len(grid), dtype=np.int64), np.ones(len(grid), dtype=complex)
     for i in range(n, 0, -1):
-        target, factor = shift_table(c, y(i, True))
+        target, factor = table(c, y(i, True))
         for power in range(K - 1):
             more = indices[grid, i - 1] > power
             amp[more] *= factor[rank[more]]
@@ -479,7 +482,8 @@ class TestReductionAgainstDense:
 
 
 def _patch_y_table(monkeypatch, k, edit):
-    """Make the checks read edit(starred, target copy, amp copy) for y_k and y_k*."""
+    """Make the checks read edit(starred, target copy, amp copy) for y_k and y_k*;
+    returns the edited table."""
     real = verify_mod.shift_table
 
     def edited(c, g):
@@ -491,6 +495,7 @@ def _patch_y_table(monkeypatch, k, edit):
         return target, amp
 
     monkeypatch.setattr(verify_mod, "shift_table", edited)
+    return edited
 
 
 class TestMutations:
@@ -500,11 +505,12 @@ class TestMutations:
             # y_k e_k -> |0> and y_k* |0> -> e_k, both scaled: still an adjoint pair
             amp[0 if starred else (c.K + 1) ** (c.n - k)] *= 1 + 1e-6
 
+        # the basis proof reads no table, so the dense oracle stands in for it
         c = cfg(n=n, K=4, q0=Fraction(3, 5), lam=1j)
-        assert check_lemma_main(c, k).passed and check_lowest_weight_basis(c).passed
-        _patch_y_table(monkeypatch, k, scale)
+        assert check_lemma_main(c, k).passed and _dense_lowest_weight_basis(c)[1] == 0
+        table = _patch_y_table(monkeypatch, k, scale)
         assert not check_lemma_main(c, k).passed
-        assert not check_lowest_weight_basis(c).passed
+        assert _dense_lowest_weight_basis(c, table)[1] > 0
 
     def test_non_diagonal_a_is_a_witness(self, monkeypatch):
         def with_off_diagonal(e, c):
@@ -588,6 +594,8 @@ MUTATIONS = {
     "lambda for conj(lambda)": lambda n, s: replace(s, power=1) if s.power else s,
     "prefix one index too long":
         lambda n, s: replace(s, prefix=(1,) * (s.slot + 1) + (0,) * (n - 1 - s.slot)) if s.step else s,
+    "lowering root with offset 1": lambda n, s: replace(s, offset=1) if s.move < 0 else s,
+    "lowering by two": lambda n, s: replace(s, move=-2) if s.move < 0 else s,
 }
 
 
@@ -610,10 +618,9 @@ class TestGenericProof:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_mutation_fails_both_checks(self, mutate, name, n):
         mutate(name)
-        p = presentation_Sigma(n, sphere_reduction=False)
         lam = UNIT_LAMBDAS[2]
-        exact = check_relations_in_rep(cfg(n=n, K=4, lam=lam, mode="exact"), p)
-        numeric = check_relations_in_rep(cfg(n=n, K=4, lam=lam), p)
+        exact = check_relations_in_rep(cfg(n=n, K=4, lam=lam, mode="exact"))
+        numeric = check_relations_in_rep(cfg(n=n, K=4, lam=lam))
         assert not exact.passed and exact.witnesses and exact.max_residual > 0
         assert not numeric.passed and numeric.witnesses
         for w in exact.witnesses:
@@ -639,11 +646,58 @@ class TestGenericProof:
         # compared at lambdas off the real line only.
         if name is not None:
             mutate(name)
-        p = presentation_Sigma(n, sphere_reduction=False)
         for lam in UNIT_LAMBDAS if name is None else UNIT_LAMBDAS[1:]:
-            numeric = check_relations_in_rep(cfg(n=n, K=K, lam=lam), p)
-            exact = check_relations_in_rep(cfg(n=n, K=K, lam=lam, mode="exact"), p)
+            numeric = check_relations_in_rep(cfg(n=n, K=K, lam=lam))
+            exact = check_relations_in_rep(cfg(n=n, K=K, lam=lam, mode="exact"))
             assert exact.passed == numeric.passed == (name is None), lam
+
+
+ORACLE_GRID = [(n, K, q0, lam) for n in (1, 2, 3) for K in range(6) for q0 in GUARD_POINTS
+               for lam in (1, 1j, complex(0.6, 0.8))]
+
+
+class TestProofsAgainstOracles:
+    """Each proof is at least as strong as the sampler it replaced: wherever
+    a dense oracle fails on the grid, plain or under a mutation of the
+    generator description, the proof fails too."""
+
+    @staticmethod
+    def verdicts(check, oracle_fails):
+        """(proof passed, oracle failed) for each grid point."""
+        return [(check(c).passed, oracle_fails(c))
+                for c in (cfg(n, q0, lam, K) for n, K, q0, lam in ORACLE_GRID)]
+
+    @pytest.mark.parametrize("name", [None, *MUTATIONS])
+    def test_kernel_proof_fails_where_svd_nullity_does(self, mutate, name):
+        if name is not None:
+            mutate(name)
+        verdicts = self.verdicts(check_kernel_structure,
+                                 lambda c: _svd_kernel_dims(c) != _kernel_dims(c))
+        assert not any(passed and failed for passed, failed in verdicts)
+        # the oracle sees the shift by two only; the proof also refutes the root with offset 1
+        refuted = ("lowering root with offset 1", "lowering by two")
+        assert any(failed for _, failed in verdicts) == (name == "lowering by two")
+        assert all(passed for passed, _ in verdicts) == (name not in refuted)
+
+    @pytest.mark.parametrize("name", [None, *MUTATIONS])
+    def test_basis_proof_fails_where_the_dense_basis_does(self, mutate, name):
+        if name is not None:
+            mutate(name)
+        verdicts = self.verdicts(check_lowest_weight_basis,
+                                 lambda c: _dense_lowest_weight_basis(c)[1] > 0)
+        assert not any(passed and failed for passed, failed in verdicts)
+        refuted = ("step 2 in the last slot", "prefix one index too long")
+        assert any(failed for _, failed in verdicts) == (name in refuted)
+        assert all(passed for passed, _ in verdicts) == (name not in refuted)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_kernel_proof_refutes_a_root_the_tables_mask(self, mutate, n):
+        # a table kills k_i = 0 by its bounds, whatever the root says there
+        mutate("lowering root with offset 1")
+        c = cfg(n=n, K=4, lam=1j)
+        assert _svd_kernel_dims(c) == _kernel_dims(c)
+        assert check_kernel_structure(c).witnesses == [
+            {"generator": f"y{i}", "premise": "root sqrt(1 - t_i^s), s > 0"} for i in range(1, n + 1)]
 
 
 class TestStatementsTakeNoElementProducts:
@@ -682,31 +736,39 @@ class TestImagesIgnoreTermOrder:
 
 class TestTableLimit:
     """(K+1)^n > 2^20 is refused where numeric tables are built; the exact
-    relations proof builds none and takes any cutoff."""
+    relations proof and the kernel and basis proofs build none and take any
+    cutoff."""
 
     REFUSED = r"\(K\+1\)\^n = 11\^6 basis vectors exceed the limit of 1048576"
 
     def test_exact_relations_take_any_cutoff(self):
-        p = presentation_Sigma(6, sphere_reduction=False)
         for K in (10, 12, 1000):
-            report = check_relations_in_rep(cfg(n=6, K=K, lam=1j, mode="exact"), p)
+            report = check_relations_in_rep(cfg(n=6, K=K, lam=1j, mode="exact"))
             assert report.passed and report.witnesses == []
 
     def test_numeric_configuration_is_refused(self):
         with pytest.raises(DomainError, match=self.REFUSED):
             cfg(n=6, K=10)
 
+    @pytest.mark.parametrize("suite", ["kernel", "basis"])
+    def test_exact_kernel_and_basis_take_any_cutoff(self, suite, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        for module in (rep_mod, verify_mod):
+            monkeypatch.setattr(module, "fock_array", refuse)
+            monkeypatch.setattr(module, "shift_table", refuse)
+        for K in (10, 1000):
+            [report] = run_suite(suite, presentation_Sigma(6), cfg(n=6, K=K, lam=1j, mode="exact"))
+            assert report.passed and report.witnesses == [] and report.params["K"] == K
+
     @pytest.mark.parametrize("build", [
-        check_kernel_structure,
-        joint_kernel_dims,
         lambda c: check_lemma_main(c, 1),
-        check_lowest_weight_basis,
         fock_array,
         lambda c: shift_table(c, y(1)),
         lambda c: matrix(Element.of(y(1)), c),
-        lambda c: run_suite("kernel", presentation_Sigma(6), c),
-    ], ids=["kernel", "joint_kernel_dims", "lemma_main", "basis", "fock_array", "shift_table",
-            "matrix", "run_suite"])
+        lambda c: run_suite("lemma-main", presentation_Sigma(6), c),
+    ], ids=["lemma_main", "fock_array", "shift_table", "matrix", "run_suite"])
     def test_exact_tables_are_refused_before_allocation(self, build):
         c = cfg(n=6, K=10, mode="exact")
         tracemalloc.start()
@@ -778,8 +840,7 @@ class TestWarmCachesCannotMaskMutations:
     LAMBDA = UNIT_LAMBDAS[2]
 
     def relations_reports(self, n):
-        p = presentation_Sigma(n, sphere_reduction=False)
-        return [check_relations_in_rep(cfg(n=n, K=4, lam=self.LAMBDA, mode=mode), p).to_json()
+        return [check_relations_in_rep(cfg(n=n, K=4, lam=self.LAMBDA, mode=mode)).to_json()
                 for mode in ("exact", "numeric")]
 
     def warm(self, n):
