@@ -42,7 +42,6 @@ from .scalar import (
 )
 from .verify import (
     CheckReport,
-    ConfigurationError,
     check_confluence,
     check_kernel_structure,
     check_lemma_aux,

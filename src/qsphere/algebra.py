@@ -10,8 +10,9 @@ Two presentations are provided:
 Normal order puts the starred block before the unstarred block, the x
 family before the y family inside each block, and ascending indices inside
 each family.  Every relation is oriented so that its left-hand side is the
-out-of-order adjacent pair, which makes orientation uniform and the rule
-set star-closed.
+out-of-order adjacent pair, which makes orientation uniform.  The relation
+set is star-closed (`_with_stars`), the rule set is not: in Sigma at n = 2,
+y2y1 is a rule and its star y1'y2' a normal word.
 
 When sphere reduction is enabled the largest diagonal quadratic (y_n* y_n
 for kind S, y_{n+1}* y_{n+1} for kind Sigma) is eliminated through the

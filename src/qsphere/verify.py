@@ -1,15 +1,18 @@
 """Machine checks for every identity the toolkit is built around.
 
 Symbolic checks normalize a relation (or a derived power identity) and
-demand the zero element.  Representation checks apply relations to
-truncated basis vectors, compare operator blocks, and prove the kernel
-dimensions and the lowest-weight basis.  Each check returns a CheckReport
+demand the zero element.  Representation checks prove the relations, the
+operator identities of the main lemma, the kernel dimensions and the
+lowest-weight basis from generic images (below); numeric mode samples the
+relations on one truncation instead.  Each check returns a CheckReport
 with the worst residual and the failing witnesses, serializable as JSON.
 
 The kernel and basis checks are proofs in either mode: each demands of
-the generic image (below) of single generators the weighted shift its
-argument rests on.  `lemma_main` samples one truncation in either mode,
-and the mode chooses between proof and sample only for the relations.
+the generic image of single generators the weighted shift its argument
+rests on.  `lemma_main` is a proof in either mode too: the images of its
+three identities must vanish on the joint kernel block.  The mode chooses
+between proof and sample only for the relations, and nothing but that
+sample builds a table or runs numpy.
 
 Exact mode proves the relations in the representation instead of
 sampling one truncation.  On a generic basis vector |k> of the untruncated
@@ -66,7 +69,6 @@ from .rep import (  # apply_element is kept importable here: perfbench/tracing.p
     fock_array,
     generic_image,
     matrix,
-    shift_table,
 )
 from .scalar import DomainError, LaurentPoly, qpochhammer  # qpochhammer: perfbench/tracing.py wraps it
 
@@ -76,14 +78,8 @@ ONE = LaurentPoly.one()
 Q = LaurentPoly.q
 
 GUARD_POINTS = (Fraction(1, 3), Fraction(1, 2), Fraction(3, 5))
-DEFINING_TOL = 1e-12
 SCATTER_MIDDLE_MAX = 2
-UNITARY_TOL = 1e-8
 NUMERIC_TOL = 1e-12
-
-
-class ConfigurationError(RuntimeError):
-    """The truncation is too small for the requested operator check."""
 
 
 @dataclass
@@ -315,66 +311,64 @@ def check_kernel_structure(c: RepConfig) -> CheckReport:
                        witnesses=_shift_witnesses(c.n, False, premises))
 
 
+def _on_block(image: dict, k: int) -> dict:
+    """A generic image with t_1 = .. = t_(k-1) = 1, zero coefficients dropped."""
+    out = {}
+    for key, coeff in image.items():
+        poly: dict[tuple, object] = {}
+        for exps, value in coeff.items():
+            exps = (exps[0], *(0,) * (k - 1), *exps[k:])
+            poly[exps] = poly.get(exps, 0) + value
+        poly = {exps: value for exps, value in poly.items() if value}
+        if poly:
+            out[key] = poly
+    return out
+
+
 def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
     """Operator identities for A = sum_{i>k} y_i* y_i and B = y_k restricted
-    to the joint kernel of y_1..y_{k-1}:
+    to the joint kernel of y_1..y_{k-1}, on interior vectors:
 
         [B, B*] = (1 - mu) A        A + B*B = 1
-        mu A = U A U*  with  U = (BB*)^(-1/2) B,  BB* = 1 - mu A
+        mu A = U A U*  with  U = (BB*)^(-1/2) B
 
-    with mu = q0^2 for k < n and q0^4 for k = n, compared on interior
-    rows and columns.  The joint kernel is the coordinate subspace where
-    k_1..k_{k-1} vanish, the first (K+1)^(n-k+1) ranks: A, B are leading blocks.
-    There A is diagonal and B an injective weighted shift, so BB*, B*B and
-    U A U* are diagonal and each identity compares two vectors.  A witness
-    names the first rank that breaks this reduction: a column of A with an
-    off-diagonal entry, a live source of B mapped out of the block, or a
-    target that B hits twice."""
+    with mu = q0^s, s = 4 for k = n and 2 otherwise.
+
+    A proof for every K >= 2, q0 in (0, 1) and unit lambda: the generic
+    images of BB* - B*B - (1 - q^s) A, A + B*B - 1 and q^s A BB* - B A B*
+    must vanish once t_1 = .. = t_(k-1) = 1.  The joint kernel is the block
+    k_1 = .. = k_(k-1) = 0 (`check_kernel_structure`).  Every letter is y_i
+    or y_i*, i >= k, which moves slot i only, or the diagonal y_(n+1) and
+    y_(n+1)*; so every word moves only slots >= k, the block is invariant,
+    and setting t_j = q^0 = 1 there gives the restriction.  The atoms name
+    moved slots only, so the independence theorem (module docstring) still
+    makes a nonzero coefficient a genuine failure.  No word, of length 2 or
+    4, lifts a slot more than 1 above its start, so on an interior vector
+    (every k_i <= K - 2) the truncation acts as the untruncated space does.
+
+    The first two give BB* = B*B + (1 - mu) A = 1 - mu A, and 0 <= A =
+    1 - B*B <= 1, so BB* >= 1 - mu > 0 is invertible and commutes with A;
+    the third, B A B* = mu A BB*, then gives U A U* = mu A.  A witness names
+    the identity, the shift, the root atoms and the nonzero coefficient."""
     if not 1 <= k <= c.n:
         raise DomainError("k must lie in 1..n")
     if c.K < 2:
         raise DomainError("the operator identities need K >= 2")
-    mu = float(c.q0 ** (2 if k < c.n else 4))
-    size = (c.K + 1) ** (c.n - k + 1)
-    report = CheckReport("lemma_main", dict(_rep_params(c), k=k, mu=mu), tolerance=UNITARY_TOL)
-
-    a_elem = sum((Element.of(y(i, True), y(i)) for i in range(k + 1, c.n + 2)), Element.zero())
-    a_mat = matrix(a_elem, c)
-    in_block = (a_mat.rows < size) & (a_mat.cols < size)
-    target, amp = shift_table(c, y(k))
-    src = np.flatnonzero(amp[:size] != 0)
-    tgt = target[src]
-    broken = {"A_diagonal": a_mat.cols[in_block & (a_mat.rows != a_mat.cols)],
-              "B_in_block": src[tgt >= size],
-              "B_injective": np.flatnonzero(np.bincount(tgt) > 1)}
-    report.witnesses = [{"reduction": name, "rank": int(ranks[0])}
-                        for name, ranks in broken.items() if ranks.size]
-    if report.witnesses:
-        return report
-
-    a = np.zeros(size, dtype=complex)
-    a[a_mat.rows[in_block]] = a_mat.values[in_block]
-    b2 = np.abs(amp[src]) ** 2
-    bsb, bbs, uau = np.zeros(size), np.zeros(size), np.zeros(size, dtype=complex)
-    bsb[src], bbs[tgt] = b2, b2
-    inside = np.all(fock_array(c)[:size] <= c.K - 2, axis=1)
-
-    # BB* equals 1 - mu A, which is positive definite wherever the
-    # truncation is faithful; it is checked on the interior block.
-    if float(np.min(bbs[inside], initial=np.inf)) <= 0.0:
-        raise ConfigurationError("BB* is not positive definite on the restricted "
-                                 "interior; increase the cutoff K")
-    s_op = 1.0 - mu * a.real
-    if float(s_op.min()) <= 0.0:
-        raise ConfigurationError("1 - mu A is not positive definite; increase K")
-    uau[tgt] = b2 * a[src] / s_op[tgt]
-    r1, r2, r3 = (float(np.max(np.abs(residual[inside]), initial=0.0))
-                  for residual in (bbs - bsb - (1.0 - mu) * a, a + bsb - 1.0, mu * a - uau))
-    for name, residual in (("commutator", r1), ("sphere", r2)):
-        if residual > DEFINING_TOL:
-            report.witnesses.append({"identity": name, "residual": residual})
-    report.max_residual = max(r1, r2, r3)
-    return report
+    s = 4 if k == c.n else 2
+    b, bs, qs = y(k), y(k, True), Q(s)
+    a = [(y(i, True), y(i)) for i in range(k + 1, c.n + 2)]
+    identities = {  # written term by term: the words of each are pairwise distinct
+        "commutator": {(b, bs): ONE, (bs, b): -ONE, **{w: qs - ONE for w in a}},
+        "sphere": {**{w: ONE for w in a}, (bs, b): ONE, (): -ONE},
+        "conjugation": {**{(*w, b, bs): qs for w in a}, **{(b, *w, bs): -ONE for w in a}},
+    }
+    witnesses = []
+    for name, terms in identities.items():
+        image = generic_image(Element({Word(word): coeff for word, coeff in terms.items()}), c.n)
+        witnesses += _image_witnesses("identity", name, _on_block(image, k), c.n)
+    return CheckReport("lemma_main", dict(_rep_params(c), k=k, mu=float(c.q0 ** s)), tolerance=0.0,
+                       max_residual=max((w["residual"] for w in witnesses), default=0.0),
+                       witnesses=witnesses)
 
 
 def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
@@ -424,23 +418,28 @@ def _atom_text(atom: tuple[int, int, int], names) -> str:
     return f"sqrt(1 - {_monomial_text(exps, names)})"
 
 
+def _image_witnesses(label: str, name: str, image: dict, n: int) -> list[dict]:
+    """One witness per nonzero coefficient of a rank-n generic image, in shift
+    order: {label: name}, the shift, the atoms under the root, the
+    coefficient and its largest magnitude as the residual."""
+    if not image:
+        return []
+    names = ("q", *(f"t{i}" for i in range(1, n + 1)), "lambda")
+    return [{label: name, "shift": list(shift),
+             "root": [_atom_text(atom, names) for atom in sorted(root)],
+             "coefficient": _laurent_text(image[shift, root], names),
+             "residual": float(max(abs(v) for v in image[shift, root].values()))}
+            for shift, root in sorted(image, key=lambda key: (key[0], sorted(key[1])))]
+
+
 def prove_relations_in_rep(n: int) -> list[dict]:
     """Witnesses against the defining relations on a generic basis vector
     (see the module docstring): none proves every relation on every |k>,
     for every cutoff K, q0 in (0, 1) and unit lambda.  A witness names the
     relation, the shift, the atoms under the root and the nonzero
     coefficient; its residual is the largest coefficient magnitude."""
-    names = ("q", *(f"t{i}" for i in range(1, n + 1)), "lambda")
-    witnesses = []
-    for name, rel in relations_Sigma(n):
-        image = generic_image(rel, n)
-        for shift, root in sorted(image, key=lambda key: (key[0], sorted(key[1]))):
-            coeff = image[shift, root]
-            witnesses.append({"relation": name, "shift": list(shift),
-                              "root": [_atom_text(atom, names) for atom in sorted(root)],
-                              "coefficient": _laurent_text(coeff, names),
-                              "residual": float(max(abs(c) for c in coeff.values()))})
-    return witnesses
+    return [w for name, rel in relations_Sigma(n)
+            for w in _image_witnesses("relation", name, generic_image(rel, n), n)]
 
 
 def check_relations_in_rep(c: RepConfig) -> CheckReport:
@@ -475,8 +474,6 @@ def check_relations_in_rep(c: RepConfig) -> CheckReport:
 # -- suite orchestration -------------------------------------------------------
 
 SUITES = ("all", "relations", "lemma-aux", "lemma-main", "kernel", "basis", "confluence")
-# the suites that build numeric tables on the truncated space, in either mode
-TABLE_SUITES = ("lemma-main",)
 
 
 def run_suite(suite: str, p: Presentation, c: RepConfig | None, m_max: int = 5) -> list[CheckReport]:

@@ -88,19 +88,16 @@ def test_03_relations_in_representation():
 
 def test_04_operator_identities():
     ok = True
-    worst_defining = 0.0
-    worst_unitary = 0.0
     for n in (1, 2):
         for q0 in Q_GRID:
             for lam in LAMBDA_GRID:
-                c = RepConfig(n, q0, lam, 6, "numeric")
-                for k in range(1, n + 1):
-                    report = check_lemma_main(c, k)
-                    ok = ok and report.passed
-                    worst_unitary = max(worst_unitary, report.max_residual)
-                    assert not report.witnesses, report.witnesses
-    _criterion("4 operator identities", ok and worst_unitary <= 1e-8,
-               f"worst residual {worst_unitary:.1e} <= 1e-8, defining <= 1e-12")
+                for mode in ("numeric", "exact"):
+                    c = RepConfig(n, q0, lam, 6, mode)
+                    for k in range(1, n + 1):
+                        report = check_lemma_main(c, k)
+                        ok = ok and report.passed and report.max_residual == 0.0
+                        assert not report.witnesses, report.witnesses
+    _criterion("4 operator identities", ok, "proved: every coefficient on the joint kernel is 0")
 
 
 def test_05_kernel_structure():

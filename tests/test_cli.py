@@ -155,32 +155,30 @@ class TestVerify:
         assert code == 0 and err == ""
         assert all(report["passed"] for report in json.loads(out))
 
-    @pytest.mark.parametrize("suite", ["kernel", "basis"])
-    def test_exact_kernel_and_basis_build_no_table(self, suite, monkeypatch):
+    @pytest.mark.parametrize("suite,checks", [
+        ("kernel", ["kernel_structure"]),
+        ("basis", ["lowest_weight_basis"]),
+        ("lemma-main", ["lemma_main"] * 6),
+        ("all", ["symbolic_relations", "relations_in_rep", "lemma_aux", *["lemma_main"] * 6,
+                 "kernel_structure", "lowest_weight_basis", "confluence"]),
+    ], ids=["kernel", "basis", "lemma-main", "all"])
+    def test_exact_kernel_and_basis_build_no_table(self, suite, checks, monkeypatch):
         from qsphere import rep as rep_mod
+        from qsphere import verify as verify_mod
 
         def refuse(*args):
             raise AssertionError("a table was built")
 
-        monkeypatch.setattr(rep_mod, "fock_array", refuse)
+        for module in (rep_mod, verify_mod):
+            monkeypatch.setattr(module, "fock_array", refuse)
         monkeypatch.setattr(rep_mod, "shift_table", refuse)
         code, out, err = run_cli(["verify", "--mode", "exact", "--suite", suite, "--n", "6", "--K", "10",
                                   "--format", "json"])
         assert code == 0 and err == ""
-        [report] = json.loads(out)
-        assert report["passed"] and report["params"]["K"] == 10
-
-    @pytest.mark.parametrize("suite", ["all", "lemma-main"])
-    def test_exact_table_suites_are_refused_before_the_presentation(self, suite, monkeypatch):
-        from qsphere import cli as cli_mod
-
-        def no_build(*args):
-            raise AssertionError("the presentation was built for a refused size")
-
-        monkeypatch.setattr(cli_mod, "presentation_Sigma", no_build)
-        code, out, err = run_cli(["verify", "--mode", "exact", "--suite", suite, "--n", "6", "--K", "10"])
-        assert code == 2 and out == ""
-        assert "(K+1)^n = 11^6 basis vectors exceed the limit of 1048576" in err
+        reports = json.loads(out)
+        assert [r["check"] for r in reports] == checks
+        assert all(r["passed"] for r in reports)
+        assert all(r["params"]["K"] == 10 for r in reports if "K" in r["params"])
 
     @pytest.mark.parametrize("argv", [
         ["normalize", "--n", "100000", "y1"],
@@ -355,8 +353,9 @@ class TestLazyNumpy:
 
     def test_kernel_basis_and_exact_relations_never_run_numpy(self):
         argvs = [["verify", "--n", "3", "--K", "7", "--mode", mode, "--suite", suite, "--format", "json"]
-                 for suite in ("kernel", "basis") for mode in ("numeric", "exact")]
-        argvs.append(["verify", "--n", "3", "--K", "7", "--mode", "exact", "--suite", "relations"])
+                 for suite in ("kernel", "basis", "lemma-main") for mode in ("numeric", "exact")]
+        argvs += [["verify", "--n", "3", "--K", "7", "--mode", "exact", "--suite", suite]
+                  for suite in ("relations", "all")]
         for argv, (code, out, _, loaded) in zip(argvs, run_fresh(*argvs)):
             assert code == 0 and "FAIL" not in out and out, argv
             assert loaded == [], argv

@@ -38,6 +38,7 @@ from qsphere.scalar import DomainError, LaurentPoly, qpochhammer
 from qsphere.verify import (
     GUARD_POINTS,
     SCATTER_MIDDLE_MAX,
+    CheckReport,
     check_confluence,
     check_kernel_structure,
     check_lemma_aux,
@@ -420,7 +421,7 @@ class TestAgainstSingularValues:
                 for q0, lam in ((HALF, 1), (Fraction(3, 5), 1j), (Fraction(1, 3), -1)):
                     c = cfg(n=n, K=K, q0=q0, lam=lam)
                     for k in range(1, n + 1):
-                        report = check_lemma_main(c, k)
+                        report = _numeric_lemma_main(c, k)
                         assert report.passed
                         assert abs(report.max_residual - _svd_lemma_main_residual(c, k)) < 1e-12
 
@@ -473,7 +474,7 @@ class TestReductionAgainstDense:
         tracemalloc.start()
         try:
             for k in range(1, c.n + 1):
-                check_lemma_main(c, k)
+                _numeric_lemma_main(c, k)
             check_lowest_weight_basis(c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -481,65 +482,115 @@ class TestReductionAgainstDense:
         assert peak < 1 << 20, peak
 
 
-def _patch_y_table(monkeypatch, k, edit):
-    """Make the checks read edit(starred, target copy, amp copy) for y_k and y_k*;
-    returns the edited table."""
-    real = verify_mod.shift_table
+# -- the numeric operator check, kept as the oracle for the lemma-main proof --------
 
+DEFINING_TOL = 1e-12
+UNITARY_TOL = 1e-8
+
+
+def _numeric_lemma_main(c, k, table=shift_table):
+    """The lemma-main identities sampled on one truncation, y_k read through
+    `table`: A's diagonal from `matrix`, B = y_k as a weighted shift, and
+    BB*, B*B and U A U* compared elementwise on the interior of the leading
+    (K+1)^(n-k+1) block.  A witness names the first rank that breaks the
+    reduction (an off-diagonal entry of A, a live source of B mapped out of
+    the block, a target B hits twice), a non-positive BB* or 1 - mu A, or
+    an identity off by more than DEFINING_TOL."""
+    mu = float(c.q0 ** (2 if k < c.n else 4))
+    size = (c.K + 1) ** (c.n - k + 1)
+    report = CheckReport("lemma_main", {"k": k, "mu": mu}, tolerance=UNITARY_TOL)
+
+    a_elem = sum((Element.of(y(i, True), y(i)) for i in range(k + 1, c.n + 2)), Element.zero())
+    a_mat = matrix(a_elem, c)
+    in_block = (a_mat.rows < size) & (a_mat.cols < size)
+    target, amp = table(c, y(k))
+    src = np.flatnonzero(amp[:size] != 0)
+    tgt = target[src]
+    broken = {"A_diagonal": a_mat.cols[in_block & (a_mat.rows != a_mat.cols)],
+              "B_in_block": src[tgt >= size],
+              "B_injective": np.flatnonzero(np.bincount(tgt) > 1)}
+    report.witnesses = [{"reduction": name, "rank": int(ranks[0])}
+                        for name, ranks in broken.items() if ranks.size]
+    if report.witnesses:
+        return report
+
+    a = np.zeros(size, dtype=complex)
+    a[a_mat.rows[in_block]] = a_mat.values[in_block]
+    b2 = np.abs(amp[src]) ** 2
+    bsb, bbs, uau = np.zeros(size), np.zeros(size), np.zeros(size, dtype=complex)
+    bsb[src], bbs[tgt] = b2, b2
+    inside = np.all(fock_array(c)[:size] <= c.K - 2, axis=1)
+    s_op = 1.0 - mu * a.real
+    for name, values in (("BB*", bbs[inside]), ("1 - mu A", s_op)):
+        if float(np.min(values, initial=np.inf)) <= 0.0:
+            report.witnesses.append({"positive": name})
+    if report.witnesses:
+        return report
+    uau[tgt] = b2 * a[src] / s_op[tgt]
+    r1, r2, r3 = (float(np.max(np.abs(residual[inside]), initial=0.0))
+                  for residual in (bbs - bsb - (1.0 - mu) * a, a + bsb - 1.0, mu * a - uau))
+    for name, residual in (("commutator", r1), ("sphere", r2)):
+        if residual > DEFINING_TOL:
+            report.witnesses.append({"identity": name, "residual": residual})
+    report.max_residual = max(r1, r2, r3)
+    return report
+
+
+def _edited_y_table(k, edit):
+    """shift_table, with edit(c, starred, target copy, amp copy) applied for y_k and y_k*."""
     def edited(c, g):
-        target, amp = real(c, g)
+        target, amp = shift_table(c, g)
         if g.index != k:
             return target, amp
         target, amp = target.copy(), amp.copy()
         edit(c, g.starred, target, amp)
         return target, amp
 
-    monkeypatch.setattr(verify_mod, "shift_table", edited)
     return edited
 
 
 class TestMutations:
     @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
-    def test_scaled_amplitude_fails_both_checks(self, monkeypatch, n, k):
+    def test_scaled_amplitude_fails_both_checks(self, n, k):
         def scale(c, starred, target, amp):
             # y_k e_k -> |0> and y_k* |0> -> e_k, both scaled: still an adjoint pair
             amp[0 if starred else (c.K + 1) ** (c.n - k)] *= 1 + 1e-6
 
-        # the basis proof reads no table, so the dense oracle stands in for it
+        # the lemma-main and basis proofs read no table, so the oracles stand in for them
         c = cfg(n=n, K=4, q0=Fraction(3, 5), lam=1j)
-        assert check_lemma_main(c, k).passed and _dense_lowest_weight_basis(c)[1] == 0
-        table = _patch_y_table(monkeypatch, k, scale)
-        assert not check_lemma_main(c, k).passed
+        assert _numeric_lemma_main(c, k).passed and _dense_lowest_weight_basis(c)[1] == 0
+        table = _edited_y_table(k, scale)
+        assert not _numeric_lemma_main(c, k, table).passed
         assert _dense_lowest_weight_basis(c, table)[1] > 0
 
     def test_non_diagonal_a_is_a_witness(self, monkeypatch):
+        real = rep_mod.matrix
+
         def with_off_diagonal(e, c):
-            m = matrix(e, c)
+            m = real(e, c)
             return SparseMatrix(m.dim, np.append(m.rows, 1), np.append(m.cols, 0),
                                 np.append(m.values, 1e-3))
 
-        monkeypatch.setattr(verify_mod, "matrix", with_off_diagonal)
-        report = check_lemma_main(cfg(n=2, K=4), k=1)
+        monkeypatch.setitem(globals(), "matrix", with_off_diagonal)  # as the oracle reads it
+        report = _numeric_lemma_main(cfg(n=2, K=4), k=1)
         assert not report.passed
         assert report.witnesses == [{"reduction": "A_diagonal", "rank": 0}]
 
-    def test_non_injective_b_is_a_witness(self, monkeypatch):
+    def test_non_injective_b_is_a_witness(self):
         def merge(c, starred, target, amp):
             if not starred:
                 target[2] = target[1]
 
-        _patch_y_table(monkeypatch, 2, merge)
-        report = check_lemma_main(cfg(n=2, K=4), k=2)
+        report = _numeric_lemma_main(cfg(n=2, K=4), k=2, table=_edited_y_table(2, merge))
         assert not report.passed
         assert report.witnesses == [{"reduction": "B_injective", "rank": 0}]
 
-    def test_image_outside_block_is_a_witness(self, monkeypatch):
+    def test_image_outside_block_is_a_witness(self):
         def leave(c, starred, target, amp):
             if not starred:
                 target[1] = c.K + 1
 
-        _patch_y_table(monkeypatch, 2, leave)
-        report = check_lemma_main(cfg(n=2, K=4), k=2)
+        report = _numeric_lemma_main(cfg(n=2, K=4), k=2, table=_edited_y_table(2, leave))
         assert not report.passed
         assert report.witnesses == [{"reduction": "B_in_block", "rank": 1}]
 
@@ -628,6 +679,19 @@ class TestGenericProof:
             assert len(w["shift"]) == n and w["coefficient"] not in ("", "0")
         json.dumps(exact.to_json())
 
+    def test_failing_lemma_main_names_the_coefficient(self, mutate):
+        # n = k = 1, s = 2 in place of 4 on y1: with A = y2* y2 = t1^4 on |k>,
+        # B B* - B* B - (1 - q^4) A is (1 - q^2 t1^2) - (1 - t1^2) - (1 - q^4) t1^4
+        # and A + B* B - 1 is t1^4 + (1 - t1^2) - 1.
+        mutate("step 2 in the last slot")
+        report = check_lemma_main(cfg(n=1, K=4, mode="exact"), 1)
+        assert report.witnesses == [
+            {"identity": "commutator", "shift": [0], "root": [],
+             "coefficient": "t1^2 - t1^4 - q^2*t1^2 + q^4*t1^4", "residual": 1.0},
+            {"identity": "sphere", "shift": [0], "root": [],
+             "coefficient": "-t1^2 + t1^4", "residual": 1.0}]
+        assert report.max_residual == 1.0 and not report.passed
+
     def test_failing_report_names_the_coefficient(self, mutate):
         # n = 1, s = 2: y1 y1* - y1* y1 - (1 - q^4) y2* y2 on |k> is
         # (1 - q^2 t1^2) - (1 - t1^2) - (1 - q^4) t1^4, and the sphere
@@ -690,6 +754,20 @@ class TestProofsAgainstOracles:
         assert any(failed for _, failed in verdicts) == (name in refuted)
         assert all(passed for passed, _ in verdicts) == (name not in refuted)
 
+    @pytest.mark.parametrize("name", [None, *MUTATIONS])
+    def test_lemma_main_proof_fails_where_the_numeric_check_does(self, mutate, name):
+        if name is not None:
+            mutate(name)
+        verdicts = [(check_lemma_main(c, k).passed, not _numeric_lemma_main(c, k).passed)
+                    for n, K, q0, lam in ORACLE_GRID if K >= 2
+                    for c in [cfg(n, q0, lam, K)] for k in range(1, n + 1)]
+        assert len(verdicts) == 216
+        if name is None:
+            assert all(passed and not failed for passed, failed in verdicts)
+        else:  # the proof refutes every point, the oracle only some
+            assert not any(passed for passed, _ in verdicts)
+            assert any(failed for _, failed in verdicts)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_kernel_proof_refutes_a_root_the_tables_mask(self, mutate, n):
         # a table kills k_i = 0 by its bounds, whatever the root says there
@@ -713,6 +791,7 @@ class TestStatementsTakeNoElementProducts:
         monkeypatch.setattr(Element, "__pow__", refuse)
         assert check_lemma_aux(p, 12).passed
         assert prove_relations_in_rep(n) == []
+        assert all(check_lemma_main(cfg(n=n, K=2, mode="exact"), k).passed for k in range(1, n + 1))
 
 
 class TestImagesIgnoreTermOrder:
@@ -736,8 +815,8 @@ class TestImagesIgnoreTermOrder:
 
 class TestTableLimit:
     """(K+1)^n > 2^20 is refused where numeric tables are built; the exact
-    relations proof and the kernel and basis proofs build none and take any
-    cutoff."""
+    relations proof and the lemma-main, kernel and basis proofs build none
+    and take any cutoff."""
 
     REFUSED = r"\(K\+1\)\^n = 11\^6 basis vectors exceed the limit of 1048576"
 
@@ -750,25 +829,24 @@ class TestTableLimit:
         with pytest.raises(DomainError, match=self.REFUSED):
             cfg(n=6, K=10)
 
-    @pytest.mark.parametrize("suite", ["kernel", "basis"])
+    @pytest.mark.parametrize("suite", ["kernel", "basis", "lemma-main"])
     def test_exact_kernel_and_basis_take_any_cutoff(self, suite, monkeypatch):
         def refuse(*args):
             raise AssertionError("a table was built")
 
         for module in (rep_mod, verify_mod):
             monkeypatch.setattr(module, "fock_array", refuse)
-            monkeypatch.setattr(module, "shift_table", refuse)
+        monkeypatch.setattr(rep_mod, "shift_table", refuse)
         for K in (10, 1000):
-            [report] = run_suite(suite, presentation_Sigma(6), cfg(n=6, K=K, lam=1j, mode="exact"))
-            assert report.passed and report.witnesses == [] and report.params["K"] == K
+            reports = run_suite(suite, presentation_Sigma(6), cfg(n=6, K=K, lam=1j, mode="exact"))
+            assert len(reports) == (6 if suite == "lemma-main" else 1)
+            assert all(r.passed and r.witnesses == [] and r.params["K"] == K for r in reports)
 
     @pytest.mark.parametrize("build", [
-        lambda c: check_lemma_main(c, 1),
         fock_array,
         lambda c: shift_table(c, y(1)),
         lambda c: matrix(Element.of(y(1)), c),
-        lambda c: run_suite("lemma-main", presentation_Sigma(6), c),
-    ], ids=["lemma_main", "fock_array", "shift_table", "matrix", "run_suite"])
+    ], ids=["fock_array", "shift_table", "matrix"])
     def test_exact_tables_are_refused_before_allocation(self, build):
         c = cfg(n=6, K=10, mode="exact")
         tracemalloc.start()
