@@ -24,9 +24,7 @@ from .expr import ExprSyntaxError, SourceSpan, parse, print_canonical
 from .rep import (
     RepConfig,
     SparseMatrix,
-    StateVector,
     apply_element,
-    apply_generator,
     basis_state,
     matrix,
     matrix_json,

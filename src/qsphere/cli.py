@@ -21,13 +21,9 @@ from .algebra import (
     presentation_Sigma,
 )
 from .expr import ExprSyntaxError, parse, print_canonical
-from .rep import RepConfig, apply_element, basis_state, matrix, matrix_json, yn1_spectrum
+from .rep import RepConfig, _fmt, apply_element, basis_state, matrix, matrix_json, yn1_spectrum
 from .scalar import DomainError
 from .verify import SUITES, run_suite
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _parse_q(text: str) -> Fraction:
@@ -76,20 +72,6 @@ def _numeric_config(args, command: str) -> RepConfig:
     return _rep_config(args)
 
 
-def _add_common(sub, representation=True):
-    sub.add_argument("--algebra", choices=("s", "sigma"), default="sigma")
-    sub.add_argument("--n", type=int, default=1)
-    sub.add_argument("--sphere", choices=("on", "off"), default="on")
-    if not representation:  # normalize reads only the presentation
-        return
-    sub.add_argument("--q", default="1/2", help="exact rational, e.g. 1/2")
-    sub.add_argument("--lambda", dest="lam", default="1",
-                     help="1, -1, i, -i, or re,im on the unit circle")
-    sub.add_argument("--K", type=int, default=6)
-    sub.add_argument("--mode", choices=("numeric", "exact"), default="numeric")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-
-
 def cmd_normalize(args) -> int:
     p = _presentation(args)
     element = parse(args.expr, p)
@@ -126,15 +108,15 @@ def cmd_rep_apply(args) -> int:
         state = tuple(int(part) for part in args.state.split(","))
     except ValueError as err:
         raise DomainError(f"bad state {args.state!r}; expected k1,..,kn") from err
-    out = apply_element(element, basis_state(config, state), config)
+    out = sorted(apply_element(element, basis_state(config, state), config).items())
     if args.format == "json":
         payload = {"n": config.n, "K": config.K,
-                   "state": [[list(k), amp.real, amp.imag] for k, amp in out.items()]}
+                   "state": [[list(k), amp.real, amp.imag] for k, amp in out]}
         print(json.dumps(payload))
     else:
-        if out.is_zero():
+        if not out:
             print("0")
-        for k, amp in out.items():
+        for k, amp in out:
             print(f"{','.join(map(str, k))} {_fmt(amp.real)} {_fmt(amp.imag)}")
     return 0
 
@@ -159,33 +141,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Normalize, verify and represent elements of the two "
                     "q-deformed sphere *-algebras.")
     subs = parser.add_subparsers(dest="command", required=True)
+    # flag groups; each command takes only the groups it reads, so an unread flag exits 2
+    algebra, sphere, rep, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    algebra.add_argument("--algebra", choices=("s", "sigma"), default="sigma")
+    algebra.add_argument("--n", type=int, default=1)
+    sphere.add_argument("--sphere", choices=("on", "off"), default="on")
+    rep.add_argument("--q", default="1/2", help="exact rational, e.g. 1/2")
+    rep.add_argument("--lambda", dest="lam", default="1",
+                     help="1, -1, i, -i, or re,im on the unit circle")
+    rep.add_argument("--K", type=int, default=6)
+    rep.add_argument("--mode", choices=("numeric", "exact"), default="numeric")
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_norm = subs.add_parser("normalize", help="print the canonical normal form")
-    _add_common(p_norm, representation=False)
+    p_norm = subs.add_parser("normalize", parents=[algebra, sphere],
+                             help="print the canonical normal form")
     p_norm.add_argument("expr")
     p_norm.set_defaults(func=cmd_normalize)
 
-    p_verify = subs.add_parser("verify", help="run identity checks")
-    _add_common(p_verify)
+    p_verify = subs.add_parser("verify", parents=[algebra, sphere, rep, fmt], help="run identity checks")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.set_defaults(func=cmd_verify)
 
     p_rep = subs.add_parser("rep", help="representation operations")
     rep_subs = p_rep.add_subparsers(dest="rep_command", required=True)
 
-    p_mat = rep_subs.add_parser("matrix", help="emit the sparse matrix as JSON")
-    _add_common(p_mat)
+    p_mat = rep_subs.add_parser("matrix", parents=[algebra, sphere, rep],
+                                help="emit the sparse matrix as JSON")
     p_mat.add_argument("expr")
     p_mat.set_defaults(func=cmd_rep_matrix)
 
-    p_apply = rep_subs.add_parser("apply", help="apply an element to a basis state")
-    _add_common(p_apply)
+    p_apply = rep_subs.add_parser("apply", parents=[algebra, sphere, rep, fmt],
+                                  help="apply an element to a basis state")
     p_apply.add_argument("expr")
     p_apply.add_argument("--state", required=True, help="comma-separated index, e.g. 0,2")
     p_apply.set_defaults(func=cmd_rep_apply)
 
-    p_spec = subs.add_parser("spectrum", help="print the diagonal of y_{n+1}")
-    _add_common(p_spec)
+    p_spec = subs.add_parser("spectrum", parents=[algebra, rep, fmt],
+                             help="print the diagonal of y_{n+1}")
     p_spec.set_defaults(func=cmd_spectrum)
 
     return parser

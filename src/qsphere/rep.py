@@ -33,27 +33,33 @@ basis vector |k> of the untruncated space, with t_i = q^(k_i) symbolic, so
 that `qsphere.verify` proves an identity for every cutoff, q0 and unit
 lambda at once, so an exact configuration takes any unit lambda and any
 cutoff.  It reads each generator's shift once per call, keeping only the
-nonzero prefix weights.  State vectors, `apply_element` and `matrix` are
-numeric, and every table is refused past MAX_DIM basis vectors.
+nonzero prefix weights.
+
+Everything else here is numeric: `fock_array`, `shift_table`, `matrix`,
+`basis_state`, `apply_element` and `yn1_spectrum` refuse an exact
+configuration before they compute anything (`_require_numeric`), and a
+numeric configuration past MAX_DIM basis vectors is refused when it is
+built.  A state is a plain dict {k: complex amplitude}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from ._lazy import lazy_import
-from .algebra import Element, Generator
+from .algebra import Element, Generator, y
 from .scalar import DomainError, radical_canonicalize  # radical_canonicalize: perfbench/tracing.py wraps it
 
 np = lazy_import("numpy")
 
-# Largest truncation (K+1)^n for which tables are built (`RepConfig.require_tables`):
-# numeric configurations above it are refused, exact ones accepted for the
-# generic proof.  Bytes per basis vector in numeric mode, from tracemalloc peaks:
+# Largest truncation (K+1)^n of a numeric configuration, refused in
+# `RepConfig.__post_init__` once the fields are valid; an exact configuration
+# takes any size, since it builds no numeric object.  Bytes per basis vector
+# in numeric mode, from tracemalloc peaks:
 #   fock_array                 8 n B, at most 160 B (n <= 20 once K >= 1)
 #   16 cached shift tables     16 x (8 B target + 16 B amplitude) = 384 B
 #   one matrix() call          350 B at n = 2, 510 B at n = 4, 1.0 KB at
@@ -79,8 +85,6 @@ class RepConfig:
             raise DomainError("n must be >= 1")
         if self.K < 0:
             raise DomainError("cutoff K must be >= 0")
-        if self.mode != "exact":
-            self.require_tables()
         q0 = Fraction(self.q0)
         if not 0 < q0 < 1:
             raise DomainError(f"q0 = {self.q0} is outside (0, 1)")
@@ -93,18 +97,20 @@ class RepConfig:
         if abs(abs(lam) - 1.0) > 1e-12:
             raise DomainError(f"|lambda| = {abs(lam)} is not 1 within 1e-12")
         object.__setattr__(self, "lam", lam + 0j)  # a -0.0 part becomes 0.0, as -1j prints [0,-1]
+        if self.mode == "numeric" and self.dim > MAX_DIM:
+            raise DomainError(f"(K+1)^n = {self.K + 1}^{self.n} basis vectors exceed "
+                              f"the limit of {MAX_DIM}")
 
     @property
     def dim(self) -> int:
         return (self.K + 1) ** self.n
 
-    def require_tables(self):
-        """Refuse a truncation too large for numeric tables (MAX_DIM).  Numeric
-        configurations are refused at construction; an exact one is refused
-        here by whatever builds a table, since its proofs need none."""
-        if self.dim > MAX_DIM:
-            raise DomainError(f"(K+1)^n = {self.K + 1}^{self.n} basis vectors exceed "
-                              f"the limit of {MAX_DIM}")
+
+def _require_numeric(c: RepConfig):
+    """The gate of every numeric entry point, called before anything is built."""
+    if c.mode != "numeric":
+        raise DomainError("numeric tables and states refuse exact mode: it is only "
+                          "honoured by the relations check of qsphere.verify")
 
 
 def fock_indices(c: RepConfig):
@@ -114,7 +120,7 @@ def fock_indices(c: RepConfig):
 
 def fock_array(c: RepConfig) -> np.ndarray:
     """All truncated indices as a (dim, n) array; row r is the index of rank r."""
-    c.require_tables()
+    _require_numeric(c)
     return np.indices((c.K + 1,) * c.n).reshape(c.n, -1).T
 
 
@@ -122,36 +128,13 @@ def rank_of(k: tuple[int, ...], c: RepConfig) -> int:
     return int(np.ravel_multi_index(k, (c.K + 1,) * c.n))
 
 
-def is_interior(k: tuple[int, ...], c: RepConfig, margin: int = 2) -> bool:
-    """True when every component sits at least `margin` below the cutoff."""
-    return all(ki <= c.K - margin for ki in k)
-
-
-@dataclass
-class StateVector:
-    """Sparse vector on the truncated basis with complex amplitudes."""
-
-    amplitudes: dict[tuple[int, ...], object] = field(default_factory=dict)
-
-    def is_zero(self) -> bool:
-        return not self.amplitudes
-
-    def items(self):
-        return sorted(self.amplitudes.items())
-
-
-def _require_numeric(c: RepConfig):
-    if c.mode == "exact":
-        raise DomainError("state vectors are numeric: exact mode is only honoured "
-                          "by the relations check of qsphere.verify")
-
-
-def basis_state(c: RepConfig, k: tuple[int, ...]) -> StateVector:
+def basis_state(c: RepConfig, k: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
+    """The state |k> as {k: 1}, checked to lie in the truncated basis."""
     _require_numeric(c)
     k = tuple(k)
     if len(k) != c.n or any(ki < 0 or ki > c.K for ki in k):
         raise DomainError(f"index {k} outside the truncated basis")
-    return StateVector({k: complex(1.0)})
+    return {k: complex(1.0)}
 
 
 # -- generators as weighted shifts ----------------------------------------------
@@ -253,12 +236,17 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _lam_power(c: RepConfig, power: int) -> complex:
+    """lambda^power for a generator's power of lambda: 1, lambda or conj(lambda)."""
+    return complex(1) if not power else c.lam if power > 0 else c.lam.conjugate()
+
+
 @lru_cache(maxsize=16)
 def shift_table(c: RepConfig, g: Generator):
     """(target, amp) arrays for one generator, cached for the last few
     configurations: source rank r goes to target[r] with complex amplitude
     amp[r], zero where the image vanishes."""
-    c.require_tables()
+    _require_numeric(c)
     s = generator_shift(c.n, g)
     ranks, k = np.arange(c.dim), fock_array(c)
     ki = k[:, s.slot]
@@ -270,7 +258,7 @@ def shift_table(c: RepConfig, g: Generator):
     if s.step:
         roots = np.array([math.sqrt(float(1 - c.q0 ** (s.step * r))) for r in range(c.K + 2)])
         scale = np.where(alive, scale * roots[ki + s.offset], 0.0)
-    lam = complex(1) if not s.power else c.lam if s.power > 0 else c.lam.conjugate()
+    lam = _lam_power(c, s.power)
     amp = np.empty(c.dim, dtype=complex)
     amp.real, amp.imag = _cmul(lam.real, lam.imag, scale, 0.0)
     target.flags.writeable = amp.flags.writeable = False  # shared through the cache
@@ -308,20 +296,15 @@ def _numeric_action(e: Element, src: np.ndarray, amps: np.ndarray, c: RepConfig,
     return keys[first[live]], values
 
 
-def apply_element(e: Element, v: StateVector, c: RepConfig) -> StateVector:
-    """Act with an element on a numeric state: words act right to left and
-    coefficients are evaluated at q0."""
+def apply_element(e: Element, v: dict, c: RepConfig) -> dict:
+    """Act with an element on a numeric state {k: amplitude}: words act right
+    to left and coefficients are evaluated at q0.  Zero amplitudes are dropped."""
     _require_numeric(c)
-    src = np.array([rank_of(k, c) for k in v.amplitudes], dtype=np.int64)
-    amps = np.array(list(v.amplitudes.values()), dtype=complex)
+    src = np.array([rank_of(k, c) for k in v], dtype=np.int64)
+    amps = np.array(list(v.values()), dtype=complex)
     rows, values = _numeric_action(e, src, amps, c, 0)
     indices = map(tuple, fock_array(c)[rows].tolist())
-    return StateVector(dict(zip(indices, values.tolist())))
-
-
-def apply_generator(g: Generator, v: StateVector, c: RepConfig) -> StateVector:
-    """Act with one generator, extending the basis action linearly."""
-    return apply_element(Element.of(g), v, c)
+    return dict(zip(indices, values.tolist()))
 
 
 @dataclass
@@ -349,14 +332,18 @@ class SparseMatrix:
 
 def matrix(e: Element, c: RepConfig) -> SparseMatrix:
     """Assemble the numeric matrix of an element, every column at once."""
-    c.require_tables()
+    _require_numeric(c)
     keys, values = _numeric_action(e, np.arange(c.dim), np.ones(c.dim, dtype=complex), c, c.dim)
     return SparseMatrix(c.dim, keys % c.dim, keys // c.dim, values)
 
 
 def yn1_spectrum(c: RepConfig) -> list[complex]:
-    """The diagonal of y_{n+1} as a multiset: lambda * q0^(|k| + k_n)."""
-    return [c.lam * float(c.q0 ** (sum(k) + k[-1])) for k in fock_indices(c)]
+    """The diagonal of y_{n+1} in rank order, read from its `generator_shift`:
+    lambda^power q0^(prefix . k) at each index k."""
+    _require_numeric(c)
+    s = generator_shift(c.n, y(c.n + 1))
+    lam = _lam_power(c, s.power)
+    return [lam * float(c.q0 ** sum(w * ki for w, ki in zip(s.prefix, k))) for k in fock_indices(c)]
 
 
 def _fmt(value: float) -> str:

@@ -277,6 +277,18 @@ class TestNumericOnlyCommands:
         assert "--mode exact" in err
 
 
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["spectrum", "--sphere", "off"], "--sphere"),
+        (["rep", "matrix", "--format", "text", "--", "y2"], "--format"),
+    ], ids=["spectrum --sphere", "rep matrix --format"])
+    def test_exit_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_failed_verification_exits_1(self, monkeypatch):
         from qsphere import cli as cli_mod
@@ -341,9 +353,11 @@ def run_fresh(*argvs):
 
 
 class TestLazyNumpy:
-    def test_normalize_never_runs_numpy(self):
-        normalized, matrix = run_fresh(NORMALIZE_ARGV, MATRIX_ARGV)
+    def test_normalize_and_spectrum_never_run_numpy(self):
+        normalized, spectrum, matrix = run_fresh(NORMALIZE_ARGV, ["spectrum", "--n", "3", "--K", "4"],
+                                                 MATRIX_ARGV)
         assert normalized == [0, NORMALIZE_OUT + "\n", False, []]
+        assert spectrum[0] == 0 and spectrum[1].count("\n") == 125 and spectrum[2:] == [False, []]
         code, out, _, loaded = matrix
         assert (code, out) == (0, MATRIX_OUT + "\n")
         assert loaded  # numpy ran, in the same process

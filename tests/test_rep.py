@@ -6,6 +6,7 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,16 +20,14 @@ from qsphere.rep import (
     RepConfig,
     generic_image,
     SparseMatrix,
-    StateVector,
     apply_element,
-    apply_generator,
     basis_state,
     fock_array,
     fock_indices,
-    is_interior,
     matrix,
     matrix_json,
     rank_of,
+    shift_table,
     yn1_spectrum,
 )
 from qsphere.scalar import DomainError, LaurentPoly
@@ -49,6 +48,11 @@ def dense(m):
     return out
 
 
+def is_interior(k, c):
+    """Every component at least 2 below the cutoff."""
+    return max(k) <= c.K - 2
+
+
 def sphere_element(n):
     e = Element.zero()
     for i in range(1, n + 2):
@@ -62,6 +66,14 @@ class TestConfig:
             cfg(q0=Fraction(3, 2))
         with pytest.raises(DomainError):
             cfg(q0=Fraction(0))
+
+    def test_rejects_bad_q0_before_the_size(self):
+        with pytest.raises(DomainError, match=r"q0 = 2 is outside \(0, 1\)"):
+            RepConfig(6, Fraction(2), 1, 10)
+
+    def test_rejects_unknown_mode_before_the_size(self):
+        with pytest.raises(DomainError, match="unknown mode 'bogus'"):
+            RepConfig(6, Fraction(1, 2), 1, 10, "bogus")
 
     def test_rejects_non_unit_lambda(self):
         with pytest.raises(DomainError):
@@ -93,53 +105,58 @@ class TestConfig:
 class TestApplyGenerator:
     def test_lowering_kills_vacuum(self):
         c = cfg()
-        assert apply_generator(y(1), basis_state(c, (0,)), c).is_zero()
+        assert apply_element(Element.of(y(1)), basis_state(c, (0,)), c) == {}
 
     def test_diagonal_action(self):
         # n=1, lambda=1: y_2 |3> = q^6 |3>
         c = cfg(K=5)
-        v = apply_generator(y(2), basis_state(c, (3,)), c)
-        assert set(v.amplitudes) == {(3,)}
-        assert abs(v.amplitudes[(3,)] - float(HALF ** 6)) < 1e-15
+        v = apply_element(Element.of(y(2)), basis_state(c, (3,)), c)
+        assert set(v) == {(3,)}
+        assert abs(v[(3,)] - float(HALF ** 6)) < 1e-15
 
     def test_raising_factor_n1(self):
         # n=1: y_1* |k> = sqrt(1 - q^(4k+4)) |k+1>
         c = cfg(K=5)
         for k in range(4):
-            v = apply_generator(y(1, True), basis_state(c, (k,)), c)
-            assert set(v.amplitudes) == {(k + 1,)}
+            v = apply_element(Element.of(y(1, True)), basis_state(c, (k,)), c)
+            assert set(v) == {(k + 1,)}
             want = math.sqrt(1 - float(HALF ** (4 * k + 4)))
-            assert abs(v.amplitudes[(k + 1,)] - want) < 1e-15
+            assert abs(v[(k + 1,)] - want) < 1e-15
 
     def test_truncation_annihilates(self):
         c = cfg(K=3)
-        assert apply_generator(y(1, True), basis_state(c, (3,)), c).is_zero()
+        assert apply_element(Element.of(y(1, True)), basis_state(c, (3,)), c) == {}
 
     def test_prefix_exponent(self):
         # n=2: y_2 |k> carries q^(k_1)
         c = cfg(n=2, K=4)
-        v = apply_generator(y(2), basis_state(c, (3, 2)), c)
+        v = apply_element(Element.of(y(2)), basis_state(c, (3, 2)), c)
         want = float(HALF ** 3) * math.sqrt(1 - float(HALF ** 8))
-        assert abs(v.amplitudes[(3, 1)] - want) < 1e-15
+        assert abs(v[(3, 1)] - want) < 1e-15
 
     def test_rejects_foreign_generator(self):
         c = cfg(n=1)
         with pytest.raises(DomainError):
-            apply_generator(y(3), basis_state(c, (0,)), c)
+            apply_element(Element.of(y(3)), basis_state(c, (0,)), c)
 
-    def test_exact_config_is_refused(self):
-        ce, cn = cfg(n=2, K=3, mode="exact"), cfg(n=2, K=3)
-        with pytest.raises(DomainError, match="numeric"):
-            basis_state(ce, (0, 0))
-        with pytest.raises(DomainError, match="numeric"):
-            apply_generator(y(1, True), basis_state(cn, (0, 0)), ce)
+    @pytest.mark.parametrize("build", [
+        fock_array,
+        lambda c: shift_table(c, y(1)),
+        lambda c: matrix(Element.of(y(1)), c),
+        lambda c: basis_state(c, (0, 0)),
+        lambda c: apply_element(Element.of(y(1, True)), {(0, 0): 1.0}, c),
+        yn1_spectrum,
+    ], ids=["fock_array", "shift_table", "matrix", "basis_state", "apply_element", "yn1_spectrum"])
+    def test_exact_config_is_refused(self, build):
+        with pytest.raises(DomainError, match="refuse exact mode: it is only honoured by the relations check"):
+            build(cfg(n=2, K=3, mode="exact"))
 
 
 class TestApplyElement:
     def test_unit_acts_trivially(self):
         c = cfg(n=2, K=3)
         v = basis_state(c, (1, 2))
-        assert apply_element(Element.one(), v, c).amplitudes == v.amplitudes
+        assert apply_element(Element.one(), v, c) == v
 
     def test_sphere_sum_is_identity_everywhere(self):
         for n in (1, 2):
@@ -147,15 +164,15 @@ class TestApplyElement:
             e = sphere_element(n)
             for k in fock_indices(c):
                 out = apply_element(e, basis_state(c, k), c)
-                assert set(out.amplitudes) == {k}
-                assert abs(out.amplitudes[k] - 1.0) < 1e-14
+                assert set(out) == {k}
+                assert abs(out[k] - 1.0) < 1e-14
 
     def test_lowering_raising_product(self):
         # n=1, q0=1/2: y_1 y_1* |0> = (1 - q^4)|0> = 15/16 |0>
         c = cfg()
         out = apply_element(Element.of(y(1), y(1, True)), basis_state(c, (0,)), c)
-        assert set(out.amplitudes) == {(0,)}
-        assert abs(out.amplitudes[(0,)] - 15 / 16) < 1e-15
+        assert set(out) == {(0,)}
+        assert abs(out[(0,)] - 15 / 16) < 1e-15
 
     def test_representation_property(self):
         rng = random.Random(55)
@@ -171,9 +188,9 @@ class TestApplyElement:
                 v = basis_state(c, k)
                 lhs = apply_element(a * b, v, c)
                 rhs = apply_element(a, apply_element(b, v, c), c)
-                keys = set(lhs.amplitudes) | set(rhs.amplitudes)
+                keys = set(lhs) | set(rhs)
                 for kk in keys:
-                    diff = lhs.amplitudes.get(kk, 0) - rhs.amplitudes.get(kk, 0)
+                    diff = lhs.get(kk, 0) - rhs.get(kk, 0)
                     assert abs(diff) < 1e-12
 
     def test_normal_form_compatibility(self):
@@ -190,9 +207,9 @@ class TestApplyElement:
                 v = basis_state(c, k)
                 lhs = apply_element(e, v, c)
                 rhs = apply_element(nf, v, c)
-                keys = set(lhs.amplitudes) | set(rhs.amplitudes)
+                keys = set(lhs) | set(rhs)
                 for kk in keys:
-                    assert abs(lhs.amplitudes.get(kk, 0) - rhs.amplitudes.get(kk, 0)) < 1e-12
+                    assert abs(lhs.get(kk, 0) - rhs.get(kk, 0)) < 1e-12
 
 
 class TestMatrix:
@@ -253,12 +270,21 @@ class TestSpectrum:
             c = cfg(n=n, K=K)
             assert len(yn1_spectrum(c)) == (K + 1) ** n
 
-    def test_matches_matrix_diagonal_exactly(self):
-        for lam in (1, 1j):
-            c = cfg(n=2, K=3, q0=Fraction(3, 5), lam=lam)
-            m = matrix(Element.of(y(3)), c)
-            assert m.is_diagonal()
-            assert m.diagonal() == yn1_spectrum(c)
+    @pytest.mark.parametrize("power", [1, -1])
+    def test_matches_matrix_diagonal_exactly(self, power, monkeypatch):
+        # with power -1, y_{n+1} carries conj(lambda): the spectrum reads generator_shift
+        shift = rep_mod.generator_shift
+        monkeypatch.setattr(rep_mod, "generator_shift", lambda n, g: replace(
+            shift(n, g), power=power) if g == y(n + 1) else shift(n, g))
+        rep_mod.shift_table.cache_clear()
+        try:
+            for lam in (1, 1j):
+                c = cfg(n=2, K=3, q0=Fraction(3, 5), lam=lam)
+                m = matrix(Element.of(y(3)), c)
+                assert m.is_diagonal()
+                assert m.diagonal() == yn1_spectrum(c)
+        finally:
+            rep_mod.shift_table.cache_clear()  # the tables were built from the patched shift
 
 
 class TestJson:
@@ -370,7 +396,7 @@ class TestAgainstReference:
             c = cfg(n=n, K=3, lam=rng.choice(self.LAMBDAS))
             e = _random_element(rng, n)
             for k in fock_indices(c):
-                got = apply_element(e, basis_state(c, k), c).amplitudes
+                got = apply_element(e, basis_state(c, k), c)
                 assert {kk: repr(v) for kk, v in got.items()} == \
                        {kk: repr(v) for kk, v in _reference_apply(e, k, c).items()}
 

@@ -28,11 +28,13 @@ from qsphere.algebra import (
 from qsphere.rep import (
     RepConfig,
     SparseMatrix,
+    apply_element,
+    basis_state,
     fock_array,
     fock_indices,
-    is_interior,
     matrix,
     shift_table,
+    yn1_spectrum,
 )
 from qsphere.scalar import DomainError, LaurentPoly, qpochhammer
 from qsphere.verify import (
@@ -380,7 +382,7 @@ def _svd_lemma_main_residual(c, k):
     b_h = basis.conj().T @ _dense(Element.of(y(k)), c) @ basis
     bs_h = b_h.conj().T
     eye = np.eye(basis.shape[1])
-    interior = np.array([is_interior(idx, c) for idx in fock_indices(c)])
+    interior = np.array([max(idx) <= c.K - 2 for idx in fock_indices(c)])
 
     def masked_max(r):
         block = (basis @ r @ basis.conj().T)[np.ix_(interior, interior)]
@@ -814,11 +816,12 @@ class TestImagesIgnoreTermOrder:
 
 
 class TestTableLimit:
-    """(K+1)^n > 2^20 is refused where numeric tables are built; the exact
-    relations proof and the lemma-main, kernel and basis proofs build none
-    and take any cutoff."""
+    """(K+1)^n > 2^20 is refused when a numeric configuration is built; an
+    exact one builds no numeric object, so the exact relations proof and the
+    lemma-main, kernel and basis proofs take any cutoff."""
 
     REFUSED = r"\(K\+1\)\^n = 11\^6 basis vectors exceed the limit of 1048576"
+    GATE = "refuse exact mode: it is only honoured by the relations check"
 
     def test_exact_relations_take_any_cutoff(self):
         for K in (10, 12, 1000):
@@ -846,12 +849,15 @@ class TestTableLimit:
         fock_array,
         lambda c: shift_table(c, y(1)),
         lambda c: matrix(Element.of(y(1)), c),
-    ], ids=["fock_array", "shift_table", "matrix"])
+        lambda c: basis_state(c, (0,) * 6),
+        lambda c: apply_element(Element.of(y(1)), {(0,) * 6: 1.0}, c),
+        yn1_spectrum,
+    ], ids=["fock_array", "shift_table", "matrix", "basis_state", "apply_element", "yn1_spectrum"])
     def test_exact_tables_are_refused_before_allocation(self, build):
         c = cfg(n=6, K=10, mode="exact")
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match=self.REFUSED):
+            with pytest.raises(DomainError, match=self.GATE):
                 build(c)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
