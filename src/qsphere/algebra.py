@@ -17,9 +17,14 @@ y2y1 is a rule and its star y1'y2' a normal word.
 When sphere reduction is enabled the largest diagonal quadratic (y_n* y_n
 for kind S, y_{n+1}* y_{n+1} for kind Sigma) is eliminated through the
 sphere relation.  A normal word then contains at most one of the two
-eliminated letters: if both occur, every letter between them exchanges
-with one of them by a pure scalar, so the pair is pulled together and
-cancelled.  Rule right-hand sides are interreduced at build time.
+eliminated letters: if both occur, the scattered step on e' m e moves e'
+right past the longest prefix of m whose letters exchange with it by a
+pure scalar, moves e left past the rest, each letter of which must
+exchange with e by a pure scalar, and applies the sphere rule to the pair.
+That is one reduction for each middle m, an infinite family;
+verify.check_confluence proves it confluent for every m from the
+sphere-off system and five finite premises, with no middle enumerated.
+Rule right-hand sides are interreduced at build time.
 
 One word order, `Presentation.word_key`, orients the relations, picks the
 next term and proves termination (`validate`); see verify.check_confluence.
@@ -364,12 +369,6 @@ class Presentation:
         head = ranks[:pos_star] + mid[:split]
         tail = mid[split:] + ranks[pos_e + 1:]
         return [(head + w + tail, coeff * c) for w, c in sphere_rhs]
-
-    def reduce_word_once(self, word: Word) -> Element | None:
-        """Apply one rule at the leftmost redex, or pull a scattered
-        eliminated pair together; None if the word is normal."""
-        out = self._step(self.ranks(word))
-        return None if out is None else Element({self.word(w): c for w, c in out})
 
     # -- build-time validation ---------------------------------------------
 

@@ -80,9 +80,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the configuration comes first, so an oversized numeric truncation is
-    # refused before any presentation is built
-    config = _rep_config(args) if args.algebra == "sigma" else None
+    # a configuration is built only for the suites that read one, and before
+    # the presentation, so an oversized numeric truncation is refused first
+    reads_rep = args.algebra == "sigma" and args.suite not in ("lemma-aux", "confluence")
+    config = _rep_config(args) if reads_rep else None
     reports = run_suite(args.suite, _presentation(args), config)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports], indent=None, sort_keys=True))

@@ -128,12 +128,17 @@ def rank_of(k: tuple[int, ...], c: RepConfig) -> int:
     return int(np.ravel_multi_index(k, (c.K + 1,) * c.n))
 
 
+def _require_index(c: RepConfig, k: tuple[int, ...]):
+    """Refuse an index that is not n components in 0..K."""
+    if len(k) != c.n or any(ki < 0 or ki > c.K for ki in k):
+        raise DomainError(f"index {k} outside the truncated basis")
+
+
 def basis_state(c: RepConfig, k: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
     """The state |k> as {k: 1}, checked to lie in the truncated basis."""
     _require_numeric(c)
     k = tuple(k)
-    if len(k) != c.n or any(ki < 0 or ki > c.K for ki in k):
-        raise DomainError(f"index {k} outside the truncated basis")
+    _require_index(c, k)
     return {k: complex(1.0)}
 
 
@@ -298,8 +303,11 @@ def _numeric_action(e: Element, src: np.ndarray, amps: np.ndarray, c: RepConfig,
 
 def apply_element(e: Element, v: dict, c: RepConfig) -> dict:
     """Act with an element on a numeric state {k: amplitude}: words act right
-    to left and coefficients are evaluated at q0.  Zero amplitudes are dropped."""
+    to left and coefficients are evaluated at q0.  Zero amplitudes are dropped.
+    Every index of the state must lie in the truncated basis."""
     _require_numeric(c)
+    for k in v:
+        _require_index(c, tuple(k))
     src = np.array([rank_of(k, c) for k in v], dtype=np.int64)
     amps = np.array(list(v.values()), dtype=complex)
     rows, values = _numeric_action(e, src, amps, c, 0)
@@ -339,11 +347,14 @@ def matrix(e: Element, c: RepConfig) -> SparseMatrix:
 
 def yn1_spectrum(c: RepConfig) -> list[complex]:
     """The diagonal of y_{n+1} in rank order, read from its `generator_shift`:
-    lambda^power q0^(prefix . k) at each index k."""
+    lambda^power q0^(prefix . k) at each index k, from a table of the powers
+    of q0 as in `shift_table`."""
     _require_numeric(c)
     s = generator_shift(c.n, y(c.n + 1))
     lam = _lam_power(c, s.power)
-    return [lam * float(c.q0 ** sum(w * ki for w, ki in zip(s.prefix, k))) for k in fock_indices(c)]
+    powers = [float(c.q0 ** e) for e in range(sum(s.prefix) * c.K + 1)]
+    exps = map(sum, product(*([w * ki for ki in range(c.K + 1)] for w in s.prefix)))  # rank order
+    return [lam * powers[e] for e in exps]
 
 
 def _fmt(value: float) -> str:

@@ -54,10 +54,12 @@ from fractions import Fraction
 
 from ._lazy import lazy_import
 from .algebra import (
+    EMPTY_WORD,
     Element,
     Presentation,
     Word,
     normalize,
+    presentation_S,
     presentation_Sigma,
     relations_S,
     relations_Sigma,
@@ -78,7 +80,6 @@ ONE = LaurentPoly.one()
 Q = LaurentPoly.q
 
 GUARD_POINTS = (Fraction(1, 3), Fraction(1, 2), Fraction(3, 5))
-SCATTER_MIDDLE_MAX = 2
 NUMERIC_TOL = 1e-12
 
 
@@ -212,61 +213,93 @@ def check_lemma_aux(p: Presentation, m_max: int) -> CheckReport:
     return report
 
 
-def _ambiguities(p: Presentation):
-    """Every ambiguity checked, as (overlap word, one reduct, the other).
-
-    The reductions are the two-letter rules and, with sphere reduction on,
-    the scattered step on e' m e: e' e is the eliminated pair, m holds
-    neither letter and e' m e no two-letter redex, as when normalization
-    takes the step.  No rule fits inside e' m e, and two scattered steps
-    that share a letter act on the same word, so the ambiguities are
-    a b c with rules for (a, b) and (b, c), and x e' m e and e' m e z
-    with rules for (x, e') and (e, z)."""
-    for (a, b), rhs in p.rules.items():
-        for (b2, c), rhs2 in p.rules.items():
-            if b2 == b:
-                yield Word((a, b, c)), rhs * Element.of(c), Element.of(a) * rhs2
-    if p.eliminated is None:
-        return
-    estar, e = p.eliminated
-    middle_letters = [g for g in p.generators if g not in p.eliminated]
-    for length in range(1, SCATTER_MIDDLE_MAX + 1):
-        for mid in itertools.product(middle_letters, repeat=length):
-            core = (estar, *mid, e)
-            if any(pair in p.rules for pair in zip(core, core[1:])):
-                continue
-            step = p.reduce_word_once(Word(core))
-            for (g, h), rhs in p.rules.items():
-                if h == estar:
-                    yield Word((g, *core)), rhs * Element.of(*mid, e), Element.of(g) * step
-                if g == e:
-                    yield Word((*core, h)), step * Element.of(h), Element.of(estar, *mid) * rhs
-
-
 def check_confluence(p: Presentation) -> CheckReport:
-    """Resolve every ambiguity of the rewrite system (Bergman's diamond
-    lemma): both reducts of each overlap word must have one normal form.
-    A witness holds the overlap word, both normal forms and the guard
+    """Prove the rewrite system confluent (Bergman's diamond lemma, Adv.
+    Math. 29, 1978), with coefficients in Q(q).  `Presentation.validate`
+    proves termination.
+
+    With sphere reduction off every ambiguity is an overlap a b c of rules
+    for (a, b) and (b, c): both reducts must have one normal form.  A
+    witness holds the overlap word, both normal forms and the guard
     residual of their difference.
 
-    `Presentation.validate` proves termination, so with sphere reduction
-    off, where every ambiguity is a b c, the status is "proved".  With it
-    on, the scattered family is infinite in m and is resolved for
-    1 <= |m| <= SCATTER_MIDDLE_MAX only: "checked".  An unresolved overlap
-    has two normal forms: "refuted"."""
+    With it on, the scattered step on e' m e is one reduction for each
+    middle m, an infinite family, so no list of overlaps is finite.  The
+    check instead resolves the a b c overlaps of the sphere-off sibling
+    `off`, whose algebra is A, and demands five finite premises; a failing
+    one is a witness {"premise": name, ...}:
+
+    1. "rule pairs": `off` has exactly one rule per pair a b with rank a >
+       rank b, and p has those pairs and the eliminated pair e' e;
+    2. "graded": every right-hand word of `off` has length 2;
+    3. "C central": C = (sphere relation) + 1 commutes with every
+       generator in A;
+    4. "rule modulo C - 1": each rule a b -> f of p holds modulo C - 1:
+       r = normalize(a b - f, off) equals sigma (C - 1), sigma = -(the
+       constant term of r).  The scattered step's exchange scalars and
+       sphere rule are read from these rules, so it holds modulo C - 1 too;
+    5. "greedy split": among the ranks strictly between e' and e, every
+       letter with no scalar exchange with e ranks below every letter with
+       no scalar exchange with e'.  `Presentation._step` moves e' right
+       past the longest prefix of m with such exchanges and e left past the
+       rest, so it fails only if a letter with none past e' comes at or
+       before one with none past e.  A middle has no two-letter redex, so
+       it is nondecreasing and the premise excludes that.  A witness names
+       a middle of one or two letters that the split fails on.
+
+    The proof.  `off` is confluent, so A, graded by premise 2, has the
+    nondecreasing words B_off as a basis (premise 1).  Let B_on be the
+    words of B_off that do not contain both e' and e: by premises 1 and 5
+    they are the normal words of p.  p's rules without their constants hold
+    in A/CA (premise 4) and lower word_key (checked by `validate`), so they
+    span each (A/CA)_d by B_on; C is central (premise 3), so CA is an
+    ideal.  Deleting one e' and one e gives #B_off,d = #B_on,d +
+    #B_off,d-2.  So dim A_d = dim C A_(d-2) + dim (A/CA)_d <= #B_off,d-2 +
+    #B_on,d = dim A_d: C is injective and A_d = C A_(d-2) (+) span B_on,d.
+    If a nonzero combination of B_on were (C - 1) g, its top degree would
+    be C times the top degree of g, nonzero and in C A, which meets
+    span B_on only in 0.  So B_on is independent in A/(C - 1)A, a quotient
+    of the algebra that p's rules present (premise 4), and so in that
+    algebra.  p terminates, so every element has a unique normal form, and
+    by Bergman every ambiguity resolves, for every middle m.
+
+    The status is "proved", or "refuted" with witnesses; `overlaps` counts
+    the a b c overlaps resolved, with sphere reduction on those of `off`."""
+    off = p if p.eliminated is None else (presentation_S if p.kind == "S" else presentation_Sigma)(p.n, False)
     report = CheckReport("confluence", _sym_params(p), tolerance=0.0)
     overlaps = 0
-    for overlaps, (word, left, right) in enumerate(_ambiguities(p), start=1):
-        nf_left, nf_right = normalize(left, p), normalize(right, p)
+    abc = ((Word((a, b, c)), rhs * Element.of(c), Element.of(a) * rhs2)
+           for (a, b), rhs in off.rules.items() for (b2, c), rhs2 in off.rules.items() if b2 == b)
+    for overlaps, (word, left, right) in enumerate(abc, start=1):
+        nf_left, nf_right = normalize(left, off), normalize(right, off)
         if nf_left != nf_right:
             residual = _element_guard_residual(nf_left - nf_right)
             report.max_residual = max(report.max_residual, residual)
             report.witnesses.append({"overlap": str(word), "left": str(nf_left),
                                      "right": str(nf_right), "residual": residual})
-    status = "refuted" if report.witnesses else "checked" if p.eliminated else "proved"
-    report.params.update(status=status, overlaps=overlaps)
-    if p.eliminated is not None:
-        report.params["middle_max"] = SCATTER_MIDDLE_MAX
+    if off is not p:
+        rank, witnesses = off.rank, report.witnesses
+        pairs = {(a, b) for a, b in itertools.product(off.generators, repeat=2) if rank[a] > rank[b]}
+        for sphere, rules, want in (("off", off.rules, pairs), ("on", p.rules, pairs | {p.eliminated})):
+            witnesses += [{"premise": "rule pairs", "sphere": sphere, "pair": str(w),
+                           "rule": "missing" if w.letters in want else "extra"}
+                          for w in sorted(map(Word, want ^ rules.keys()), key=off.ranks)]
+        witnesses += [{"premise": "graded", "rule": str(Word(lhs)), "word": str(w)}
+                      for lhs, rhs in off.rules.items() for w in rhs.words() if len(w) != 2]
+        big_c = dict(relations_S(p.n) if p.kind == "S" else relations_Sigma(p.n))["sphere"] + Element.one()
+        commutators = {g: normalize(big_c * Element.of(g) - Element.of(g) * big_c, off) for g in off.generators}
+        witnesses += [{"premise": "C central", "generator": str(g), "normal_form": str(nf)}
+                      for g, nf in commutators.items() if not nf.is_zero()]
+        c_minus_1 = normalize(big_c, off) - Element.one()
+        residues = {lhs: normalize(Element.of(*lhs) - rhs, off) for lhs, rhs in p.rules.items()}
+        witnesses += [{"premise": "rule modulo C - 1", "rule": str(Word(lhs)), "normal_form": str(r)}
+                      for lhs, r in residues.items() if r != c_minus_1 * -r.coeff(EMPTY_WORD)]
+        estar, e, left, right, _ = p._sphere
+        no_left, no_right = ([g for g in range(estar + 1, e) if g not in side] for side in (left, right))
+        if no_left and no_right and no_left[-1] >= no_right[0]:
+            middle = p.word(tuple(sorted({no_right[0], no_left[-1]})))
+            witnesses.append({"premise": "greedy split", "middle": str(middle)})
+    report.params.update(status="refuted" if report.witnesses else "proved", overlaps=overlaps)
     return report
 
 
@@ -491,15 +524,15 @@ def run_suite(suite: str, p: Presentation, c: RepConfig | None, m_max: int = 5) 
         if name == "confluence":
             reports.append(check_confluence(p))
             continue
+        if name == "lemma-aux" and p.kind == "Sigma":  # reads no representation
+            reports.append(check_lemma_aux(p if p.sphere_reduction else presentation_Sigma(p.n), m_max))
+            continue
         if p.kind != "Sigma" or c is None:
             if suite != "all":
                 raise DomainError(f"suite {name!r} needs the Sigma algebra and "
                                   "representation parameters")
             continue
-        if name == "lemma-aux":
-            sphere_on = p if p.sphere_reduction else presentation_Sigma(p.n)
-            reports.append(check_lemma_aux(sphere_on, m_max))
-        elif name == "lemma-main":
+        if name == "lemma-main":
             for k in range(1, c.n + 1):
                 reports.append(check_lemma_main(c, k))
         elif name == "kernel":

@@ -46,28 +46,28 @@ def rand_element(rng, p, max_words=3, max_len=4):
 def normalize_by_max(e, p):
     """The loop the heap replaced, kept as the oracle for normalize_steps:
     rescan the pending terms for the word_key maximum at every step."""
-    pending = dict(e._terms)
+    pending = {p.ranks(w): c for w, c in e._terms.items()}
     done = {}
     steps = 0
     while pending:
-        word = max(pending, key=lambda w: p.word_key(p.ranks(w)))
-        coeff = pending.pop(word)
-        replacement = p.reduce_word_once(word)
+        ranks = max(pending, key=p.word_key)
+        coeff = pending.pop(ranks)
+        replacement = p._step(ranks)
         if replacement is None:
-            new = done.get(word, LaurentPoly.zero()) + coeff
+            new = done.get(ranks, LaurentPoly.zero()) + coeff
             if new:
-                done[word] = new
+                done[ranks] = new
             else:
-                done.pop(word, None)
+                done.pop(ranks, None)
             continue
         steps += 1
-        for rw, rc in replacement._terms.items():
+        for rw, rc in replacement:
             new = pending.get(rw, LaurentPoly.zero()) + coeff * rc
             if new:
                 pending[rw] = new
             else:
                 pending.pop(rw, None)
-    return Element(done), steps
+    return Element({p.word(ranks): c for ranks, c in done.items()}), steps
 
 
 def with_rules(p, changes):
@@ -200,7 +200,7 @@ class TestPresentations:
             p = build(2)
             for rhs in p.rules.values():
                 for w in rhs.words():
-                    assert p.reduce_word_once(w) is None
+                    assert p._step(p.ranks(w)) is None
 
 
 class TestNormalize:
@@ -307,16 +307,17 @@ class TestHeapAgainstMax:
             p.rules[lhs] = Element.of(y(1), y(2), coeff=Q(5))
         changed = with_rules(p, {lhs: Element.of(y(1), y(2), coeff=Q(5))})
         assert normalize(e, changed) == Element.of(y(1), y(2), coeff=Q(5))
-        assert changed.reduce_word_once(Word(lhs)) == Element.of(y(1), y(2), coeff=Q(5))
+        assert changed._step(changed.ranks(Word(lhs))) == [(changed.ranks(Word((y(1), y(2)))), Q(5))]
         assert normalize(e, p) == Element.of(y(1), y(2), coeff=Q(-1))
         dropped = Presentation(p.kind, p.n, p.sphere_reduction, p.generators,
                                {k: v for k, v in p.rules.items() if k != lhs}, p.eliminated)
         assert normalize(e, dropped) == e
-        assert dropped.reduce_word_once(Word(lhs)) is None
+        assert dropped._step(dropped.ranks(Word(lhs))) is None
         # the scattered step reads the sphere rule of its own presentation
-        sphere, scattered = presentation_Sigma(1), Word((y(2, True), y(1), y(2)))
+        sphere = presentation_Sigma(1)
+        scattered = sphere.ranks(Word((y(2, True), y(1), y(2))))
         doubled = with_rules(sphere, {sphere.eliminated: sphere.rules[sphere.eliminated] * 2})
-        assert doubled.reduce_word_once(scattered) == sphere.reduce_word_once(scattered) * 2
+        assert doubled._step(scattered) == [(w, c * 2) for w, c in sphere._step(scattered)]
 
 
 class TestRelationsClose:

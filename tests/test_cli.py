@@ -94,7 +94,7 @@ class TestVerify:
         assert code == 0
         [report] = json.loads(out)
         assert report["check"] == "confluence" and report["passed"] is True
-        assert report["params"]["status"] == "checked"
+        assert report["params"]["status"] == "proved" and "middle_max" not in report["params"]
 
     @pytest.mark.parametrize("flag", ["--seed", "--probe-trials", "--probe-len"])
     def test_removed_flags_exit_2(self, flag, capsys):
@@ -149,6 +149,11 @@ class TestVerify:
         ["verify", "--mode", "exact", "--suite", "relations", "--n", "6", "--K", "10"],
         ["verify", "--mode", "exact", "--suite", "lemma-aux", "--n", "6", "--K", "10"],
         ["verify", "--mode", "exact", "--suite", "confluence", "--n", "3", "--K", "200"],
+        # the numeric suites that read no representation build no configuration:
+        # 7^12 basis vectors exceed the limit of a numeric truncation
+        ["verify", "--suite", "confluence", "--n", "12"],
+        ["verify", "--suite", "lemma-aux", "--n", "12"],
+        ["verify", "--suite", "lemma-aux", "--n", "4", "--K", "40"],
     ])
     def test_exact_suites_without_tables_take_any_cutoff(self, argv):
         code, out, err = run_cli([*argv, "--format", "json"])

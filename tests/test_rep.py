@@ -139,6 +139,13 @@ class TestApplyGenerator:
         with pytest.raises(DomainError):
             apply_element(Element.of(y(3)), basis_state(c, (0,)), c)
 
+    @pytest.mark.parametrize("state", [{(7,): 1.0}, {(-1,): 1.0}, {(1, 2): 1.0}],
+                             ids=["past the cutoff", "negative", "wrong length"])
+    def test_state_outside_the_basis_is_refused(self, state):
+        # the index check basis_state makes, before numpy sees the index
+        with pytest.raises(DomainError, match="outside the truncated basis"):
+            apply_element(Element.of(y(1)), state, cfg(n=1, K=3))
+
     @pytest.mark.parametrize("build", [
         fock_array,
         lambda c: shift_table(c, y(1)),
@@ -269,6 +276,15 @@ class TestSpectrum:
         for n, K in ((1, 4), (2, 3), (3, 2)):
             c = cfg(n=n, K=K)
             assert len(yn1_spectrum(c)) == (K + 1) ** n
+
+    @pytest.mark.parametrize("lam", [1, 1j, complex(-0.6, 0.8), -1j])
+    def test_power_table_matches_one_power_per_vector(self, lam):
+        # the table holds float(q0^e) for each exponent, as the per-vector powers did
+        for n, K, q0 in ((1, 5, HALF), (2, 4, Fraction(3, 5)), (3, 3, Fraction(1, 3))):
+            c = cfg(n=n, K=K, q0=q0, lam=lam)
+            prefix = rep_mod.generator_shift(n, y(n + 1)).prefix
+            want = [c.lam * float(q0 ** sum(w * ki for w, ki in zip(prefix, k))) for k in fock_indices(c)]
+            assert repr(yn1_spectrum(c)) == repr(want)
 
     @pytest.mark.parametrize("power", [1, -1])
     def test_matches_matrix_diagonal_exactly(self, power, monkeypatch):

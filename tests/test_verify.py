@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import time
@@ -18,11 +19,13 @@ import qsphere.verify as verify_mod
 from qsphere.algebra import (
     Element,
     Presentation,
+    Word,
     normalize,
     presentation_S,
     presentation_Sigma,
     relations_S,
     relations_Sigma,
+    x,
     y,
 )
 from qsphere.rep import (
@@ -39,7 +42,6 @@ from qsphere.rep import (
 from qsphere.scalar import DomainError, LaurentPoly, qpochhammer
 from qsphere.verify import (
     GUARD_POINTS,
-    SCATTER_MIDDLE_MAX,
     CheckReport,
     check_confluence,
     check_kernel_structure,
@@ -85,6 +87,52 @@ class TestSymbolicRelations:
         assert data["passed"] is True
 
 
+def _scattered_overlaps(p, middle_max):
+    """The scattered-overlap enumeration that check_confluence ran before it
+    proved the family, kept as an oracle that reads p._step itself.  Over
+    the scattered steps on e' m e with 1 <= |m| <= middle_max, m holding
+    neither eliminated letter and e' m e no two-letter redex (as when
+    normalization takes the step), it resolves the overlaps x e' m e and
+    e' m e z with rules for (x, e') and (e, z).  Returns the number of
+    overlaps and the words of those whose reducts have two normal forms."""
+    estar, e = p.eliminated
+    middle_letters = [g for g in p.generators if g not in p.eliminated]
+    overlaps = []
+    for length in range(1, middle_max + 1):
+        for mid in itertools.product(middle_letters, repeat=length):
+            core = (estar, *mid, e)
+            if any(pair in p.rules for pair in zip(core, core[1:])):
+                continue
+            step = Element({p.word(w): c for w, c in p._step(p.ranks(Word(core)))})
+            for (g, h), rhs in p.rules.items():
+                if h == estar:
+                    overlaps.append((Word((g, *core)), rhs * Element.of(*mid, e), Element.of(g) * step))
+                if g == e:
+                    overlaps.append((Word((*core, h)), step * Element.of(h), Element.of(estar, *mid) * rhs))
+    unresolved = [str(word) for word, left, right in overlaps if normalize(left, p) != normalize(right, p)]
+    return len(overlaps), unresolved
+
+
+def _scaled_scattered_step(p, min_middle):
+    """A copy of p whose scattered step is scaled by q whenever its middle
+    has at least min_middle letters; its rules are p's."""
+    estar, e = (p.rank[g] for g in p.eliminated)
+    bad = copy.copy(p)
+
+    def step(ranks):
+        out = type(p)._step(bad, ranks)
+        letters = p.word(ranks).letters  # a two-letter redex means no scattered step
+        if out is None or any(pair in p.rules for pair in zip(letters, letters[1:])):
+            return out
+        start = max(i for i, r in enumerate(ranks) if r == estar)
+        if ranks.index(e, start) - start - 1 >= min_middle:
+            out = [(w, c * LaurentPoly.q(1)) for w, c in out]
+        return out
+
+    bad._step = step
+    return bad
+
+
 class TestConfluence:
     @pytest.mark.parametrize("build", [presentation_S, presentation_Sigma])
     @pytest.mark.parametrize("sphere", [True, False])
@@ -92,12 +140,10 @@ class TestConfluence:
         report = check_confluence(build(2, sphere))
         assert report.passed, report.witnesses[:2]
         assert report.params["overlaps"] > 0
-        if sphere:
-            assert report.params["status"] == "checked"
-            assert report.params["middle_max"] == SCATTER_MIDDLE_MAX
-        else:
-            assert report.params["status"] == "proved"
-            assert "middle_max" not in report.params
+        assert report.params["status"] == "proved"
+        assert "middle_max" not in report.params
+        # with sphere reduction on, the overlaps resolved are the sibling's
+        assert report.params["overlaps"] == check_confluence(build(2, False)).params["overlaps"]
 
     def test_perturbed_rule_fails_with_witness(self):
         lhs = (y(3), y(2))
@@ -115,26 +161,79 @@ class TestConfluence:
     def test_scattered_step_with_a_long_middle_is_checked(self):
         # A scattered step that is wrong only when two letters sit between
         # the eliminated pair escapes the length-3 overlaps and the
-        # relations check; the scattered overlaps catch it.
-        p = presentation_Sigma(1)
-        estar, e = (p.rank[g] for g in p.eliminated)
-        bad = copy.copy(p)
-
-        def step(ranks):
-            out = type(p)._step(bad, ranks)
-            letters = p.word(ranks).letters  # a two-letter redex means no scattered step
-            if out is None or any(pair in p.rules for pair in zip(letters, letters[1:])):
-                return out
-            start = max(i for i, r in enumerate(ranks) if r == estar)
-            if ranks.index(e, start) - start > 2:
-                out = [(w, c * LaurentPoly.q(1)) for w, c in out]
-            return out
-
-        bad._step = step
+        # relations check; the scattered overlaps catch it.  The patch is
+        # to _step, which check_confluence's proof about the rules does not
+        # read, so the oracle checks it.
+        bad = _scaled_scattered_step(presentation_Sigma(1), min_middle=2)
         assert check_symbolic_relations(bad).passed
-        report = check_confluence(bad)
+        overlaps, unresolved = _scattered_overlaps(bad, middle_max=2)
+        assert overlaps > 0
+        assert unresolved[0] == "y2'y1y2y1"
+
+    def test_scattered_step_wrong_from_four_letters_needs_middles_of_three(self):
+        # scaled only for |m| >= 4: middles of up to 2 letters never reach
+        # such a step, and the overlap y2' y1^3 y2 y1 does
+        bad = _scaled_scattered_step(presentation_Sigma(1), min_middle=4)
+        assert check_symbolic_relations(bad).passed
+        assert _scattered_overlaps(bad, middle_max=2)[1] == []
+        assert _scattered_overlaps(bad, middle_max=4)[1][0] == "y2'y1y1y1y2y1"
+
+    @pytest.mark.parametrize("build,n", [(presentation_S, 1), (presentation_S, 2),
+                                         (presentation_Sigma, 1), (presentation_Sigma, 2)])
+    def test_oracle_resolves_every_scattered_overlap(self, build, n):
+        overlaps, unresolved = _scattered_overlaps(build(n), middle_max=2)
+        assert overlaps > 0 and unresolved == []
+
+    def test_missing_rule_refutes_the_rule_pairs(self):
+        p = presentation_Sigma(2)
+        dropped = Presentation(p.kind, p.n, p.sphere_reduction, p.generators,
+                               {k: v for k, v in p.rules.items() if k != (y(2), y(1))}, p.eliminated)
+        report = check_confluence(dropped)
         assert report.params["status"] == "refuted"
-        assert report.witnesses[0]["overlap"] == "y2'y1y2y1"
+        assert report.witnesses == [{"premise": "rule pairs", "sphere": "on", "pair": "y2y1",
+                                     "rule": "missing"}]
+
+    def test_ungraded_sibling_refutes_the_grading(self, monkeypatch):
+        off = _with_rule(presentation_Sigma(1, False), (y(2), y(1)), lambda rhs: rhs + Element.of(y(1)))
+        build = verify_mod.presentation_Sigma
+        monkeypatch.setattr(verify_mod, "presentation_Sigma",
+                            lambda n, sphere=True: build(n, sphere) if sphere else off)
+        report = check_confluence(presentation_Sigma(1))
+        assert report.params["status"] == "refuted"
+        assert {"premise": "graded", "rule": "y2y1", "word": "y1"} in report.witnesses
+
+    def test_sphere_element_that_is_not_central_is_refuted(self, monkeypatch):
+        relations = verify_mod.relations_Sigma
+
+        def heavier_sphere(n):
+            return tuple((name, rel + Element.of(y(1, True), y(1)) if name == "sphere" else rel)
+                         for name, rel in relations(n))
+
+        monkeypatch.setattr(verify_mod, "relations_Sigma", heavier_sphere)
+        report = check_confluence(presentation_Sigma(2))
+        assert report.params["status"] == "refuted"
+        central = [w["generator"] for w in report.witnesses if w["premise"] == "C central"]
+        assert central == ["y1'", "y1"]
+
+    def test_rule_off_the_ideal_is_refuted(self):
+        p = _with_rule(presentation_Sigma(2), (y(3), y(2)),
+                       lambda rhs: rhs + Element.of(y(2), y(3), coeff=LaurentPoly.q(1)))
+        report = check_confluence(p)
+        assert report.params["status"] == "refuted"
+        assert report.witnesses == [{"premise": "rule modulo C - 1", "rule": "y3y2",
+                                     "normal_form": "(-q)*y2y3"}]
+
+    def test_doubled_sphere_rule_is_refuted(self):
+        p = presentation_Sigma(2)
+        report = check_confluence(_with_rule(p, p.eliminated, lambda rhs: rhs * 2))
+        assert [(w["premise"], w["rule"]) for w in report.witnesses] == [("rule modulo C - 1", "y3'y3")]
+
+    def test_lost_exchange_scalar_refutes_the_greedy_split(self):
+        # x2 exchanges with y2' by a scalar no longer, and never did with y2
+        p = _with_rule(presentation_S(2), (x(2), y(2, True)), lambda rhs: rhs + Element.of(x(1, True), x(1)))
+        report = check_confluence(p)
+        assert report.params["status"] == "refuted"
+        assert {"premise": "greedy split", "middle": "x2"} in report.witnesses
 
     def test_run_suite_includes_confluence(self):
         reports = run_suite("confluence", presentation_S(1), None)
