@@ -300,10 +300,10 @@ class Presentation:
                     continue
                 scalar = _scalar_exchange(self.rules, e, g)
                 if scalar is not None:
-                    left[rank[g]] = scalar
+                    left[rank[g]] = scalar.monomial_inverse()
                 scalar = _scalar_exchange(self.rules, g, estar)
                 if scalar is not None:
-                    right[rank[g]] = scalar
+                    right[rank[g]] = scalar.monomial_inverse()
             self._sphere = (rank[estar], rank[e], left, right, self._rank_rules[rank[estar], rank[e]])
 
     # -- word order ------------------------------------------------------
@@ -561,17 +561,15 @@ def _orient(p: Presentation, element: Element) -> tuple[tuple[Generator, Generat
 
 
 def _scalar_exchange(rules, mover_left: Generator, other: Generator):
-    """If the rule for (mover_left, other) is a pure scalar exchange,
-    return the coefficient c with other*mover_left = c * mover_left*other."""
+    """If the rule for (mover_left, other) is a pure scalar exchange
+    mover_left*other -> c * other*mover_left, c a monomial, return c."""
     rhs = rules.get((mover_left, other))
     if rhs is None or len(rhs._terms) != 1:
         return None
     [(word, coeff)] = rhs._terms.items()
-    if word.letters != (other, mover_left):
+    if word.letters != (other, mover_left) or coeff.as_monomial() is None:
         return None
-    if coeff.as_monomial() is None:
-        return None
-    return coeff.monomial_inverse()
+    return coeff
 
 
 def _build_presentation(kind: str, n: int, sphere_reduction: bool) -> Presentation:

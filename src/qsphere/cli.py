@@ -21,7 +21,7 @@ from .algebra import (
     presentation_Sigma,
 )
 from .expr import ExprSyntaxError, parse, print_canonical
-from .rep import RepConfig, _fmt, apply_element, basis_state, matrix, matrix_json, yn1_spectrum
+from .rep import RepConfig, _fmt, apply_element, basis_state, checked_fields, matrix, matrix_json, yn1_spectrum
 from .scalar import DomainError
 from .verify import SUITES, run_suite
 
@@ -58,10 +58,14 @@ def _presentation(args):
     return build(args.n, args.sphere == "on")
 
 
+def _rep_fields(args) -> tuple:
+    return args.n, _parse_q(args.q), _parse_lambda(args.lam), args.K, args.mode
+
+
 def _rep_config(args) -> RepConfig:
     if args.algebra == "s":
         raise DomainError("representations are only constructed for the sigma algebra")
-    return RepConfig(args.n, _parse_q(args.q), _parse_lambda(args.lam), args.K, args.mode)
+    return RepConfig(*_rep_fields(args))
 
 
 def _numeric_config(args, command: str) -> RepConfig:
@@ -80,10 +84,13 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # a configuration is built only for the suites that read one, and before
-    # the presentation, so an oversized numeric truncation is refused first
-    reads_rep = args.algebra == "sigma" and args.suite not in ("lemma-aux", "confluence")
+    # every representation flag is checked, and a configuration is built only
+    # for the suites that read one, before the presentation, so a bad flag or
+    # an oversized numeric truncation is refused first
+    reads_rep = args.algebra == "sigma" and args.suite not in ("lemma-aux", "lemma-main", "confluence")
     config = _rep_config(args) if reads_rep else None
+    if not reads_rep:
+        checked_fields(*_rep_fields(args))
     reports = run_suite(args.suite, _presentation(args), config)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports], indent=None, sort_keys=True))

@@ -57,7 +57,7 @@ from .scalar import DomainError, radical_canonicalize  # radical_canonicalize: p
 np = lazy_import("numpy")
 
 # Largest truncation (K+1)^n of a numeric configuration, refused in
-# `RepConfig.__post_init__` once the fields are valid; an exact configuration
+# `RepConfig.__post_init__` once `checked_fields` passes; an exact configuration
 # takes any size, since it builds no numeric object.  Bytes per basis vector
 # in numeric mode, from tracemalloc peaks:
 #   fock_array                 8 n B, at most 160 B (n <= 20 once K >= 1)
@@ -67,6 +67,26 @@ np = lazy_import("numpy")
 # so under 160 + 384 + 1500 B ~ 2 KiB per vector, and 2^20 vectors keep a
 # run within 2 GiB.
 MAX_DIM = 2**20
+
+
+def checked_fields(n: int, q0, lam, K: int, mode: str) -> tuple[Fraction, complex]:
+    """Every check of a configuration's fields but the size gate, in order;
+    returns q0 as a Fraction and lambda as a complex, a -0.0 part made 0.0
+    (so -1j prints [0,-1])."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if K < 0:
+        raise DomainError("cutoff K must be >= 0")
+    if not 0 < Fraction(q0) < 1:
+        raise DomainError(f"q0 = {q0} is outside (0, 1)")
+    if mode not in ("numeric", "exact"):
+        raise DomainError(f"unknown mode {mode!r}")
+    lam = complex(lam)
+    if not math.isfinite(abs(lam)):
+        raise DomainError(f"lambda = {lam} is not finite")
+    if abs(abs(lam) - 1.0) > 1e-12:
+        raise DomainError(f"|lambda| = {abs(lam)} is not 1 within 1e-12")
+    return Fraction(q0), lam + 0j
 
 
 @dataclass(frozen=True)
@@ -81,22 +101,9 @@ class RepConfig:
     mode: str = "numeric"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
-        if self.K < 0:
-            raise DomainError("cutoff K must be >= 0")
-        q0 = Fraction(self.q0)
-        if not 0 < q0 < 1:
-            raise DomainError(f"q0 = {self.q0} is outside (0, 1)")
+        q0, lam = checked_fields(self.n, self.q0, self.lam, self.K, self.mode)
         object.__setattr__(self, "q0", q0)
-        if self.mode not in ("numeric", "exact"):
-            raise DomainError(f"unknown mode {self.mode!r}")
-        lam = complex(self.lam)
-        if not math.isfinite(abs(lam)):
-            raise DomainError(f"lambda = {lam} is not finite")
-        if abs(abs(lam) - 1.0) > 1e-12:
-            raise DomainError(f"|lambda| = {abs(lam)} is not 1 within 1e-12")
-        object.__setattr__(self, "lam", lam + 0j)  # a -0.0 part becomes 0.0, as -1j prints [0,-1]
+        object.__setattr__(self, "lam", lam)
         if self.mode == "numeric" and self.dim > MAX_DIM:
             raise DomainError(f"(K+1)^n = {self.K + 1}^{self.n} basis vectors exceed "
                               f"the limit of {MAX_DIM}")
@@ -327,15 +334,6 @@ class SparseMatrix:
     @property
     def entries(self) -> list[tuple[int, int, complex]]:
         return list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
-
-    def diagonal(self) -> list[complex]:
-        on = self.rows == self.cols
-        diag = np.zeros(self.dim, dtype=complex)
-        diag[self.rows[on]] = self.values[on]
-        return diag.tolist()
-
-    def is_diagonal(self) -> bool:
-        return bool(np.all(self.rows == self.cols))
 
 
 def matrix(e: Element, c: RepConfig) -> SparseMatrix:

@@ -1,18 +1,19 @@
 """Machine checks for every identity the toolkit is built around.
 
-Symbolic checks normalize a relation (or a derived power identity) and
-demand the zero element.  Representation checks prove the relations, the
-operator identities of the main lemma, the kernel dimensions and the
-lowest-weight basis from generic images (below); numeric mode samples the
-relations on one truncation instead.  Each check returns a CheckReport
-with the worst residual and the failing witnesses, serializable as JSON.
+Symbolic checks normalize a relation (or a derived identity: the power
+identities and the operator identities of the main lemma) and demand the
+zero element.  Representation checks prove the relations, the kernel
+dimensions and the lowest-weight basis from generic images (below);
+numeric mode samples the relations on one truncation instead.  Each check
+returns a CheckReport with the worst residual and the failing witnesses,
+serializable as JSON.
 
 The kernel and basis checks are proofs in either mode: each demands of
 the generic image of single generators the weighted shift its argument
-rests on.  `lemma_main` is a proof in either mode too: the images of its
-three identities must vanish on the joint kernel block.  The mode chooses
-between proof and sample only for the relations, and nothing but that
-sample builds a table or runs numpy.
+rests on.  `lemma_main`, like `lemma_aux`, is a proof in the algebra: it
+reads no representation, so it holds in every *-representation.  The
+mode chooses between proof and sample only for the relations, and
+nothing but that sample builds a table or runs numpy.
 
 Exact mode proves the relations in the representation instead of
 sampling one truncation.  On a generic basis vector |k> of the untruncated
@@ -58,6 +59,7 @@ from .algebra import (
     Element,
     Presentation,
     Word,
+    _scalar_exchange,
     normalize,
     presentation_S,
     presentation_Sigma,
@@ -213,6 +215,71 @@ def check_lemma_aux(p: Presentation, m_max: int) -> CheckReport:
     return report
 
 
+def lemma_main_identities(n: int, k: int) -> dict[str, Element]:
+    """The identities of the main lemma at k, each an element that must be 0
+    in the algebra.  With A = sum_{i>k} y_i* y_i, B = y_k and mu = q^s, s = 4
+    if k = n and 2 otherwise:
+
+        commutator  BB* - B*B - (1 - mu) A            relation diag[k]
+        sphere      A + B*B - 1 + sum_{j<k} y_j* y_j  the sphere relation
+        exchange    mu A B - B A
+
+    They are written term by term: the words of each are pairwise distinct,
+    so no two terms combine."""
+    if not 1 <= k <= n:
+        raise DomainError("k must lie in 1..n")
+    b, bs, mu = y(k), y(k, True), Q(4 if k == n else 2)
+    a = [(y(i, True), y(i)) for i in range(k + 1, n + 2)]
+    identities = {
+        "commutator": {(b, bs): ONE, (bs, b): -ONE, **dict.fromkeys(a, mu - ONE)},
+        "sphere": {**dict.fromkeys([*((y(j, True), y(j)) for j in range(1, k)), (bs, b), *a], ONE), (): -ONE},
+        "exchange": {**dict.fromkeys([(*w, b) for w in a], mu), **dict.fromkeys([(b, *w) for w in a], -ONE)},
+    }
+    return {name: Element({Word(w): c for w, c in terms.items()}) for name, terms in identities.items()}
+
+
+def check_lemma_main(p: Presentation, k: int) -> CheckReport:
+    """The main lemma at k, proved in the algebra, so that it holds in every
+    *-representation.  Each element of `lemma_main_identities(n, k)` must
+    normalize to 0 against p, with sphere reduction on; rewriting is a
+    congruence (Bergman 1978), so each then lies in the ideal of the
+    relations.  As a premise, y_(k-1) must exchange by a monomial scalar
+    with y_i and y_i* for every k <= i <= n + 1: the rule for the pair,
+    whose left letter has the higher rank, must be that exchange.  The
+    lemma at k needs this of every y_j, j < k, and report j + 1 checks it
+    for y_j, so each pair is read once per suite, and the suite proves the
+    lemma only if every report passes.
+
+    The argument.  Let H be the joint kernel of y_1..y_(k-1) in a bounded
+    *-representation, and mu = q0^s with q0 in (0, 1).  For j < k, y_j x =
+    c x y_j for each letter x of A, B and B*, so H is invariant under A, B
+    and B*.  On H each y_j* y_j is 0, so `sphere` gives A + B*B = 1, and
+    `commutator` then BB* = B*B + (1 - mu) A = 1 - mu A.  As 0 <= A = 1 -
+    B*B <= 1 on H, BB* >= 1 - mu > 0 is invertible and commutes with A.
+    Right-multiplying `exchange` by B* gives B A B* = mu A BB*, so with
+    U = (BB*)^(-1/2) B,
+
+        U A U* = (BB*)^(-1/2) mu A BB* (BB*)^(-1/2) = mu A.
+
+    A witness names the identity with its normal form and guard residual,
+    or the premise with the generator and the letter."""
+    if p.kind != "Sigma" or not p.sphere_reduction:
+        raise DomainError("the main lemma is stated in the Sigma presentation with sphere reduction on")
+    report = CheckReport("lemma_main", dict(_sym_params(p), k=k), tolerance=0.0)
+    for name, element in lemma_main_identities(p.n, k).items():
+        nf = normalize(element, p)
+        if not nf.is_zero():
+            residual = _element_guard_residual(nf)
+            report.max_residual = max(report.max_residual, residual)
+            report.witnesses.append({"identity": name, "normal_form": str(nf), "residual": residual})
+    if k > 1:
+        g, rank = y(k - 1), p.rank
+        report.witnesses += [{"premise": "scalar exchange", "generator": str(g), "letter": str(x)}
+                             for i in range(k, p.n + 2) for x in (y(i), y(i, True))
+                             if _scalar_exchange(p.rules, *((x, g) if rank[x] > rank[g] else (g, x))) is None]
+    return report
+
+
 def check_confluence(p: Presentation) -> CheckReport:
     """Prove the rewrite system confluent (Bergman's diamond lemma, Adv.
     Math. 29, 1978), with coefficients in Q(q).  `Presentation.validate`
@@ -344,66 +411,6 @@ def check_kernel_structure(c: RepConfig) -> CheckReport:
                        witnesses=_shift_witnesses(c.n, False, premises))
 
 
-def _on_block(image: dict, k: int) -> dict:
-    """A generic image with t_1 = .. = t_(k-1) = 1, zero coefficients dropped."""
-    out = {}
-    for key, coeff in image.items():
-        poly: dict[tuple, object] = {}
-        for exps, value in coeff.items():
-            exps = (exps[0], *(0,) * (k - 1), *exps[k:])
-            poly[exps] = poly.get(exps, 0) + value
-        poly = {exps: value for exps, value in poly.items() if value}
-        if poly:
-            out[key] = poly
-    return out
-
-
-def check_lemma_main(c: RepConfig, k: int) -> CheckReport:
-    """Operator identities for A = sum_{i>k} y_i* y_i and B = y_k restricted
-    to the joint kernel of y_1..y_{k-1}, on interior vectors:
-
-        [B, B*] = (1 - mu) A        A + B*B = 1
-        mu A = U A U*  with  U = (BB*)^(-1/2) B
-
-    with mu = q0^s, s = 4 for k = n and 2 otherwise.
-
-    A proof for every K >= 2, q0 in (0, 1) and unit lambda: the generic
-    images of BB* - B*B - (1 - q^s) A, A + B*B - 1 and q^s A BB* - B A B*
-    must vanish once t_1 = .. = t_(k-1) = 1.  The joint kernel is the block
-    k_1 = .. = k_(k-1) = 0 (`check_kernel_structure`).  Every letter is y_i
-    or y_i*, i >= k, which moves slot i only, or the diagonal y_(n+1) and
-    y_(n+1)*; so every word moves only slots >= k, the block is invariant,
-    and setting t_j = q^0 = 1 there gives the restriction.  The atoms name
-    moved slots only, so the independence theorem (module docstring) still
-    makes a nonzero coefficient a genuine failure.  No word, of length 2 or
-    4, lifts a slot more than 1 above its start, so on an interior vector
-    (every k_i <= K - 2) the truncation acts as the untruncated space does.
-
-    The first two give BB* = B*B + (1 - mu) A = 1 - mu A, and 0 <= A =
-    1 - B*B <= 1, so BB* >= 1 - mu > 0 is invertible and commutes with A;
-    the third, B A B* = mu A BB*, then gives U A U* = mu A.  A witness names
-    the identity, the shift, the root atoms and the nonzero coefficient."""
-    if not 1 <= k <= c.n:
-        raise DomainError("k must lie in 1..n")
-    if c.K < 2:
-        raise DomainError("the operator identities need K >= 2")
-    s = 4 if k == c.n else 2
-    b, bs, qs = y(k), y(k, True), Q(s)
-    a = [(y(i, True), y(i)) for i in range(k + 1, c.n + 2)]
-    identities = {  # written term by term: the words of each are pairwise distinct
-        "commutator": {(b, bs): ONE, (bs, b): -ONE, **{w: qs - ONE for w in a}},
-        "sphere": {**{w: ONE for w in a}, (bs, b): ONE, (): -ONE},
-        "conjugation": {**{(*w, b, bs): qs for w in a}, **{(b, *w, bs): -ONE for w in a}},
-    }
-    witnesses = []
-    for name, terms in identities.items():
-        image = generic_image(Element({Word(word): coeff for word, coeff in terms.items()}), c.n)
-        witnesses += _image_witnesses("identity", name, _on_block(image, k), c.n)
-    return CheckReport("lemma_main", dict(_rep_params(c), k=k, mu=float(c.q0 ** s)), tolerance=0.0,
-                       max_residual=max((w["residual"] for w in witnesses), default=0.0),
-                       witnesses=witnesses)
-
-
 def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
     """Rebuild |k> from the vacuum by raising and normalizing with q-shifted
     factorials: on the grid k <= K - 1, (y_1*)^(k_1) .. (y_n*)^(k_n) |0> must
@@ -451,14 +458,14 @@ def _atom_text(atom: tuple[int, int, int], names) -> str:
     return f"sqrt(1 - {_monomial_text(exps, names)})"
 
 
-def _image_witnesses(label: str, name: str, image: dict, n: int) -> list[dict]:
+def _image_witnesses(name: str, image: dict, n: int) -> list[dict]:
     """One witness per nonzero coefficient of a rank-n generic image, in shift
-    order: {label: name}, the shift, the atoms under the root, the
+    order: the relation's name, the shift, the atoms under the root, the
     coefficient and its largest magnitude as the residual."""
     if not image:
         return []
     names = ("q", *(f"t{i}" for i in range(1, n + 1)), "lambda")
-    return [{label: name, "shift": list(shift),
+    return [{"relation": name, "shift": list(shift),
              "root": [_atom_text(atom, names) for atom in sorted(root)],
              "coefficient": _laurent_text(image[shift, root], names),
              "residual": float(max(abs(v) for v in image[shift, root].values()))}
@@ -472,7 +479,7 @@ def prove_relations_in_rep(n: int) -> list[dict]:
     relation, the shift, the atoms under the root and the nonzero
     coefficient; its residual is the largest coefficient magnitude."""
     return [w for name, rel in relations_Sigma(n)
-            for w in _image_witnesses("relation", name, generic_image(rel, n), n)]
+            for w in _image_witnesses(name, generic_image(rel, n), n)]
 
 
 def check_relations_in_rep(c: RepConfig) -> CheckReport:
@@ -524,18 +531,17 @@ def run_suite(suite: str, p: Presentation, c: RepConfig | None, m_max: int = 5) 
         if name == "confluence":
             reports.append(check_confluence(p))
             continue
-        if name == "lemma-aux" and p.kind == "Sigma":  # reads no representation
-            reports.append(check_lemma_aux(p if p.sphere_reduction else presentation_Sigma(p.n), m_max))
+        if name in ("lemma-aux", "lemma-main") and p.kind == "Sigma":  # these read no representation
+            on = p if p.sphere_reduction else presentation_Sigma(p.n)
+            reports += ([check_lemma_aux(on, m_max)] if name == "lemma-aux"
+                        else [check_lemma_main(on, k) for k in range(1, p.n + 1)])
             continue
         if p.kind != "Sigma" or c is None:
             if suite != "all":
                 raise DomainError(f"suite {name!r} needs the Sigma algebra and "
                                   "representation parameters")
             continue
-        if name == "lemma-main":
-            for k in range(1, c.n + 1):
-                reports.append(check_lemma_main(c, k))
-        elif name == "kernel":
+        if name == "kernel":
             reports.append(check_kernel_structure(c))
         elif name == "basis":
             reports.append(check_lowest_weight_basis(c))

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from qsphere.cli import main
+from qsphere.verify import SUITES
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -154,6 +155,9 @@ class TestVerify:
         ["verify", "--suite", "confluence", "--n", "12"],
         ["verify", "--suite", "lemma-aux", "--n", "12"],
         ["verify", "--suite", "lemma-aux", "--n", "4", "--K", "40"],
+        # lemma-main is proved in the algebra: no table limit, and no K >= 2
+        ["verify", "--suite", "lemma-main", "--n", "12"],
+        ["verify", "--suite", "lemma-main", "--n", "3", "--K", "0"],
     ])
     def test_exact_suites_without_tables_take_any_cutoff(self, argv):
         code, out, err = run_cli([*argv, "--format", "json"])
@@ -267,6 +271,44 @@ class TestSpectrum:
         assert code == 0
         values = json.loads(out)["spectrum"]
         assert sorted(v[0] for v in values) == sorted([1.0, 0.5, 0.25, 0.125])
+
+
+class TestVerifyChecksEveryFlag:
+    """verify checks --q, --lambda and --K for every suite and both algebras,
+    before anything is built, also where the suite reads no representation."""
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--q", "2/1"], "q0 = 2 is outside (0, 1)"),
+        (["--q", "abc"], "q must be an exact rational like 1/2, got 'abc'"),
+        (["--lambda", "2"], "lambda must be 1, -1, i, -i or re,im; got '2'"),
+        (["--lambda", "3,4"], "|lambda| = 5.0 is not 1 within 1e-12"),
+        (["--K", "-1"], "cutoff K must be >= 0"),
+    ], ids=["q 2/1", "q abc", "lambda 2", "lambda 3,4", "K -1"])
+    @pytest.mark.parametrize("suite", [*SUITES, "s relations", "s confluence"])
+    def test_bad_flag_exits_2_before_anything_is_built(self, suite, flags, message, monkeypatch):
+        from qsphere import cli as cli_mod
+
+        def no_build(*args):
+            raise AssertionError("a presentation was built")
+
+        monkeypatch.setattr(cli_mod, "presentation_Sigma", no_build)
+        monkeypatch.setattr(cli_mod, "presentation_S", no_build)
+        algebra = ["--algebra", "s"] if suite.startswith("s ") else []
+        code, out, err = run_cli(["verify", "--n", "2", *algebra, "--suite", suite.split()[-1], *flags])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags", [
+        ["--q", "2/1", "--lambda", "abc"],
+        ["--K", "-1", "--lambda", "3,4"],
+        ["--q", "0/1", "--K", "-1"],
+        ["--n", "0", "--q", "abc"],
+        ["--n", "0", "--K", "-1"],
+    ])
+    def test_messages_and_order_match_a_suite_that_builds_a_configuration(self, flags):
+        want = run_cli(["verify", "--suite", "kernel", *flags])
+        assert want[0] == 2
+        for suite in ("lemma-aux", "lemma-main", "confluence"):
+            assert run_cli(["verify", "--suite", suite, *flags]) == want
 
 
 class TestNumericOnlyCommands:

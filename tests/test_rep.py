@@ -48,6 +48,17 @@ def dense(m):
     return out
 
 
+def diagonal(m):
+    """The diagonal of a sparse matrix in rank order, or None if it has an
+    entry off the diagonal."""
+    if m.rows.tolist() != m.cols.tolist():
+        return None
+    diag = [0j] * m.dim
+    for row, value in zip(m.rows.tolist(), m.values.tolist()):
+        diag[row] = value
+    return diag
+
+
 def is_interior(k, c):
     """Every component at least 2 below the cutoff."""
     return max(k) <= c.K - 2
@@ -228,8 +239,8 @@ class TestMatrix:
     def test_diagonal_generator(self):
         c = cfg(K=2)
         m = matrix(Element.of(y(2)), c)
-        assert m.is_diagonal()
-        assert np.allclose(m.diagonal(), [1.0, 0.25, 0.0625])
+        assert diagonal(m) is not None
+        assert np.allclose(diagonal(m), [1.0, 0.25, 0.0625])
 
     def test_linearity(self):
         rng = random.Random(12)
@@ -297,8 +308,7 @@ class TestSpectrum:
             for lam in (1, 1j):
                 c = cfg(n=2, K=3, q0=Fraction(3, 5), lam=lam)
                 m = matrix(Element.of(y(3)), c)
-                assert m.is_diagonal()
-                assert m.diagonal() == yn1_spectrum(c)
+                assert diagonal(m) == yn1_spectrum(c)
         finally:
             rep_mod.shift_table.cache_clear()  # the tables were built from the patched shift
 
@@ -420,7 +430,7 @@ class TestAgainstReference:
         c = cfg(n=2, K=3, lam=1j)
         e = parse("y1 y2 - y1 y2 + y3'", presentation_Sigma(2))
         assert matrix(e, c).entries == _reference_matrix(e, c).entries
-        assert matrix(e, c).is_diagonal()
+        assert diagonal(matrix(e, c)) is not None
 
     def test_dropped_entry_restarts_its_sum(self):
         # At |0> with lambda = -1, y2' and y2'y2 cancel exactly; the sum is

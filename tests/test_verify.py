@@ -51,6 +51,7 @@ from qsphere.verify import (
     check_relations_in_rep,
     check_symbolic_relations,
     lemma_aux_identity,
+    lemma_main_identities,
     prove_relations_in_rep,
     run_suite,
 )
@@ -365,23 +366,146 @@ class TestKernels:
 
 class TestLemmaMain:
     def test_n1(self):
-        report = check_lemma_main(cfg(n=1, K=6), k=1)
-        assert report.passed, report.witnesses
+        report = check_lemma_main(presentation_Sigma(1), k=1)
+        assert report.passed and report.witnesses == [] and report.max_residual == 0.0
+        assert report.params == {"kind": "Sigma", "n": 1, "sphere": True, "k": 1}
 
     def test_n2_k1_complex_lambda(self):
-        report = check_lemma_main(cfg(n=2, q0=Fraction(3, 5), lam=1j, K=5), k=1)
-        assert report.passed, report.witnesses
+        # the proof reads no representation: a configuration, any lambda, changes no report
+        p = presentation_Sigma(2)
+        reports = run_suite("lemma-main", p, cfg(n=2, q0=Fraction(3, 5), lam=1j, K=5))
+        assert [r.to_json() for r in reports] == [r.to_json() for r in run_suite("lemma-main", p, None)]
+        assert [(r.params["k"], r.passed) for r in reports] == [(1, True), (2, True)]
 
     def test_n2_k2_uses_q4(self):
-        report = check_lemma_main(cfg(n=2, q0=Fraction(3, 5), lam=1j, K=5), k=2)
-        assert report.passed, report.witnesses
-        assert report.params["mu"] == pytest.approx(float(Fraction(3, 5) ** 4))
+        q, one = LaurentPoly.q, LaurentPoly.one()
+        for n, k, mu in ((2, 2, q(4)), (2, 1, q(2)), (3, 2, q(2)), (3, 3, q(4))):
+            a = Word((y(n + 1, True), y(n + 1)))
+            identities = lemma_main_identities(n, k)
+            assert identities["commutator"].coeff(a) == mu - one
+            assert identities["exchange"].coeff(Word((*a, y(k)))) == mu
+            assert check_lemma_main(presentation_Sigma(n), k).passed
 
     def test_rejects_small_k(self):
-        with pytest.raises(DomainError):
-            check_lemma_main(cfg(K=1), k=1)
-        with pytest.raises(DomainError):
-            check_lemma_main(cfg(n=1, K=6), k=2)
+        with pytest.raises(DomainError, match="k must lie in 1..n"):
+            check_lemma_main(presentation_Sigma(1), k=0)
+        with pytest.raises(DomainError, match="k must lie in 1..n"):
+            check_lemma_main(presentation_Sigma(1), k=2)
+        for p in (presentation_Sigma(1, False), presentation_S(1)):
+            with pytest.raises(DomainError, match="Sigma presentation with sphere reduction on"):
+                check_lemma_main(p, 1)
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 63])
+    def test_every_k_passes(self, n):
+        p = presentation_Sigma(n)
+        assert all(check_lemma_main(p, k).passed for k in range(1, n + 1))
+
+    def test_identities_are_the_relations(self):
+        # commutator is diag[k] and sphere the sphere relation, term for term
+        for n in (1, 2, 3, 4):
+            relations = dict(relations_Sigma(n))
+            for k in range(1, n + 1):
+                identities = lemma_main_identities(n, k)
+                assert identities["commutator"] == relations[f"diag[{k}]"]
+                assert identities["sphere"] == relations["sphere"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reads_no_representation(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the representation was read")
+
+        for module in (rep_mod, verify_mod):
+            monkeypatch.setattr(module, "generic_image", refuse)
+        monkeypatch.setattr(rep_mod, "generator_shift", refuse)
+        for p in (presentation_Sigma(n), presentation_Sigma(n, False)):
+            for c in (None, cfg(n=n, K=0)):
+                reports = run_suite("lemma-main", p, c)
+                assert [r.params["k"] for r in reports] == list(range(1, n + 1))
+                assert all(r.passed and r.params["sphere"] for r in reports)
+
+
+def _restated(monkeypatch, name, extra):
+    """check_lemma_main reads the identity `name` plus extra(n, k)."""
+    real = lemma_main_identities
+
+    def restated(n, k):
+        identities = real(n, k)
+        return {**identities, name: identities[name] + extra(n, k)}
+
+    monkeypatch.setattr(verify_mod, "lemma_main_identities", restated)
+
+
+def _failures(n):
+    """(k, identity or premise, generator and letter) of every witness of every k."""
+    return [(k, w.get("identity") or w["premise"], w.get("generator"), w.get("letter"))
+            for k in range(1, n + 1) for w in check_lemma_main(presentation_Sigma(n), k).witnesses]
+
+
+class TestLemmaMainRefutations:
+    """Each identity and the premise is refuted, with its named witness, by
+    a mutated rule or a mutated statement."""
+
+    def test_premise_refutes_a_rule_that_is_no_scalar_exchange(self):
+        # y2 y1 -> q^-1 y1 y2 + y1' y1: y1 no longer exchanges with y2 by a scalar
+        p = _with_rule(presentation_Sigma(2), (y(2), y(1)),
+                       lambda rhs: rhs + Element.of(y(1, True), y(1)))
+        assert check_lemma_main(p, 1).passed
+        report = check_lemma_main(p, 2)
+        assert [w for w in report.witnesses if "premise" in w] == [
+            {"premise": "scalar exchange", "generator": "y1", "letter": "y2"}]
+
+    def test_every_premise_pair_is_read(self):
+        # each pair y_j, x with j < index of x is read in exactly one report: report j + 1
+        for n in (2, 3, 4):
+            p = presentation_Sigma(n)
+            for j in range(1, n):
+                for x in (y(i, starred) for i in range(j + 1, n + 2) for starred in (False, True)):
+                    lhs = (x, y(j)) if p.rank[x] > p.rank[y(j)] else (y(j), x)
+                    broken = _with_rule(p, lhs, lambda rhs: rhs + Element.one())
+                    failing = [(k, w) for k in range(1, n + 1)
+                               for w in check_lemma_main(broken, k).witnesses if "premise" in w]
+                    assert failing == [(j + 1, {"premise": "scalar exchange", "generator": f"y{j}",
+                                                "letter": str(x)})]
+
+    def test_commutator_and_exchange_refute_a_wrong_diagonal_rule(self):
+        # (q^2 - q^4) y3' y3 added to the rule for y2 y2': the rule now says mu = q^2 at k = n
+        q = LaurentPoly.q
+        p = _with_rule(presentation_Sigma(2), (y(2), y(2, True)),
+                       lambda rhs: rhs + Element.of(y(3, True), y(3), coeff=q(2) - q(4)))
+        assert check_lemma_main(p, 1).passed
+        report = check_lemma_main(p, 2)
+        assert report.witnesses == [
+            {"identity": "commutator", "normal_form": "(q^2 - q^4)*1 + (-q^2 + q^4)*y1'y1 + (-q^2 + q^4)*y2'y2",
+             "residual": report.witnesses[0]["residual"]},
+            {"identity": "exchange",
+             "normal_form": "(-q^2 + q^4)*y1'y1y2 + (-q^2 + q^4)*y2'y2y2 + (q^2 - q^4)*y2",
+             "residual": report.witnesses[1]["residual"]}]
+        assert report.max_residual == max(w["residual"] for w in report.witnesses) > 0
+
+    def test_commutator_refutes_mu_q2_at_k_n(self, monkeypatch):
+        q = LaurentPoly.q
+        _restated(monkeypatch, "commutator",
+                  lambda n, k: Element.of(y(n + 1, True), y(n + 1), coeff=q(2) - q(4)) if k == n else Element())
+        assert _failures(3) == [(3, "commutator", None, None)]
+        [witness] = check_lemma_main(presentation_Sigma(3), 3).witnesses
+        assert witness["normal_form"] == \
+            "(q^2 - q^4)*1 + (-q^2 + q^4)*y1'y1 + (-q^2 + q^4)*y2'y2 + (-q^2 + q^4)*y3'y3"
+
+    def test_sphere_refutes_a_dropped_kernel_tail(self, monkeypatch):
+        _restated(monkeypatch, "sphere", lambda n, k: -sum(
+            (Element.of(y(j, True), y(j)) for j in range(1, k)), Element()))
+        assert _failures(3) == [(2, "sphere", None, None), (3, "sphere", None, None)]
+        [witness] = check_lemma_main(presentation_Sigma(3), 2).witnesses
+        assert witness["normal_form"] == "(-1)*y1'y1"
+
+    def test_exchange_refutes_mu_q2_at_k_n(self, monkeypatch):
+        q = LaurentPoly.q
+        _restated(monkeypatch, "exchange",
+                  lambda n, k: Element.of(y(n + 1, True), y(n + 1), y(n), coeff=q(2) - q(4)) if k == n
+                  else Element())
+        assert _failures(2) == [(2, "exchange", None, None)]
+        [witness] = check_lemma_main(presentation_Sigma(2), 2).witnesses
+        assert set(witness) == {"identity", "normal_form", "residual"} and witness["residual"] > 0
 
 
 class TestLowestWeightBasis:
@@ -637,6 +761,46 @@ def _numeric_lemma_main(c, k, table=shift_table):
     return report
 
 
+# -- the generic-image proof, kept as the oracle for the model family --------------
+
+
+def _on_block(image: dict, k: int) -> dict:
+    """A generic image with t_1 = .. = t_(k-1) = 1, zero coefficients dropped."""
+    out = {}
+    for key, coeff in image.items():
+        poly: dict[tuple, object] = {}
+        for exps, value in coeff.items():
+            exps = (exps[0], *(0,) * (k - 1), *exps[k:])
+            poly[exps] = poly.get(exps, 0) + value
+        poly = {exps: value for exps, value in poly.items() if value}
+        if poly:
+            out[key] = poly
+    return out
+
+
+def _model_lemma_main(n, k):
+    """Witnesses against the lemma-main identities in the model family, for
+    every K >= 2, q0 and unit lambda: the generic images of BB* - B*B -
+    (1 - q^s) A, A + B*B - 1 and q^s A BB* - B A B* must vanish once
+    t_1 = .. = t_(k-1) = 1, the joint kernel block of y_1..y_(k-1).  Every
+    word moves only slots >= k, so the block is invariant.  A witness names
+    the identity, the shift, the root atoms and the nonzero coefficient."""
+    s = 4 if k == n else 2
+    b, bs, qs, one = y(k), y(k, True), LaurentPoly.q(s), LaurentPoly.one()
+    a = [(y(i, True), y(i)) for i in range(k + 1, n + 2)]
+    identities = {
+        "commutator": {(b, bs): one, (bs, b): -one, **{w: qs - one for w in a}},
+        "sphere": {**{w: one for w in a}, (bs, b): one, (): -one},
+        "conjugation": {**{(*w, b, bs): qs for w in a}, **{(b, *w, bs): -one for w in a}},
+    }
+    witnesses = []
+    for name, terms in identities.items():
+        image = rep_mod.generic_image(Element({Word(word): c for word, c in terms.items()}), n)
+        witnesses += [{"identity": name, **{key: v for key, v in w.items() if key != "relation"}}
+                      for w in verify_mod._image_witnesses(name, _on_block(image, k), n)]
+    return witnesses
+
+
 def _edited_y_table(k, edit):
     """shift_table, with edit(c, starred, target copy, amp copy) applied for y_k and y_k*."""
     def edited(c, g):
@@ -785,13 +949,23 @@ class TestGenericProof:
         # B B* - B* B - (1 - q^4) A is (1 - q^2 t1^2) - (1 - t1^2) - (1 - q^4) t1^4
         # and A + B* B - 1 is t1^4 + (1 - t1^2) - 1.
         mutate("step 2 in the last slot")
-        report = check_lemma_main(cfg(n=1, K=4, mode="exact"), 1)
-        assert report.witnesses == [
+        assert _model_lemma_main(1, 1) == [
             {"identity": "commutator", "shift": [0], "root": [],
              "coefficient": "t1^2 - t1^4 - q^2*t1^2 + q^4*t1^4", "residual": 1.0},
             {"identity": "sphere", "shift": [0], "root": [],
              "coefficient": "-t1^2 + t1^4", "residual": 1.0}]
-        assert report.max_residual == 1.0 and not report.passed
+        # the algebra proof reads no representation, so the mutation does not reach it
+        assert check_lemma_main(presentation_Sigma(1), 1).passed
+
+    @pytest.mark.parametrize("name", MUTATIONS)
+    @pytest.mark.parametrize("mode", ["numeric", "exact"])
+    def test_mutation_is_refuted_by_the_all_suite_through_relations_in_rep(self, mutate, name, mode):
+        # lemma-main reads no representation: relations_in_rep refutes every mutation
+        mutate(name)
+        for n in (1, 2, 3):
+            reports = run_suite("all", presentation_Sigma(n), cfg(n=n, K=4, lam=UNIT_LAMBDAS[2], mode=mode))
+            failed = {r.name for r in reports if not r.passed}
+            assert "relations_in_rep" in failed and "lemma_main" not in failed, n
 
     def test_failing_report_names_the_coefficient(self, mutate):
         # n = 1, s = 2: y1 y1* - y1* y1 - (1 - q^4) y2* y2 on |k> is
@@ -859,7 +1033,7 @@ class TestProofsAgainstOracles:
     def test_lemma_main_proof_fails_where_the_numeric_check_does(self, mutate, name):
         if name is not None:
             mutate(name)
-        verdicts = [(check_lemma_main(c, k).passed, not _numeric_lemma_main(c, k).passed)
+        verdicts = [(not _model_lemma_main(n, k), not _numeric_lemma_main(c, k).passed)
                     for n, K, q0, lam in ORACLE_GRID if K >= 2
                     for c in [cfg(n, q0, lam, K)] for k in range(1, n + 1)]
         assert len(verdicts) == 216
@@ -892,7 +1066,7 @@ class TestStatementsTakeNoElementProducts:
         monkeypatch.setattr(Element, "__pow__", refuse)
         assert check_lemma_aux(p, 12).passed
         assert prove_relations_in_rep(n) == []
-        assert all(check_lemma_main(cfg(n=n, K=2, mode="exact"), k).passed for k in range(1, n + 1))
+        assert all(check_lemma_main(p, k).passed for k in range(1, n + 1))
 
 
 class TestImagesIgnoreTermOrder:
@@ -942,7 +1116,8 @@ class TestTableLimit:
         for K in (10, 1000):
             reports = run_suite(suite, presentation_Sigma(6), cfg(n=6, K=K, lam=1j, mode="exact"))
             assert len(reports) == (6 if suite == "lemma-main" else 1)
-            assert all(r.passed and r.witnesses == [] and r.params["K"] == K for r in reports)
+            # lemma-main reads no representation, so its reports carry no K
+            assert all(r.passed and r.witnesses == [] and r.params.get("K", K) == K for r in reports)
 
     @pytest.mark.parametrize("build", [
         fock_array,
@@ -1007,6 +1182,8 @@ class TestStatementCaches:
             (lambda: prove_relations_in_rep(n), imaged, [rel for _, rel in relations_Sigma(n)]),
             (lambda: check_lemma_aux(presentation_Sigma(n), 5), normalized,
              [lemma_aux_identity(n, i, m) for i in range(1, n + 1) for m in (1, 2)]),
+            (lambda: run_suite("lemma-main", presentation_Sigma(n), None), normalized,
+             [e for k in range(1, n + 1) for e in lemma_main_identities(n, k).values()]),
         ]
         for check, calls, work in checks:
             results = []
