@@ -21,9 +21,9 @@ from .algebra import (
     presentation_Sigma,
 )
 from .expr import ExprSyntaxError, parse, print_canonical
-from .rep import RepConfig, _fmt, apply_element, basis_state, checked_fields, matrix, matrix_json, yn1_spectrum
+from .rep import RepConfig, _fmt, apply_element, basis_state, matrix, matrix_json, yn1_spectrum
 from .scalar import DomainError
-from .verify import SUITES, run_suite
+from .verify import SUITES, rep_params, run_suite, sampled_config
 
 
 def _parse_q(text: str) -> Fraction:
@@ -58,22 +58,14 @@ def _presentation(args):
     return build(args.n, args.sphere == "on")
 
 
-def _rep_fields(args) -> tuple:
-    return args.n, _parse_q(args.q), _parse_lambda(args.lam), args.K, args.mode
-
-
-def _rep_config(args) -> RepConfig:
-    if args.algebra == "s":
-        raise DomainError("representations are only constructed for the sigma algebra")
-    return RepConfig(*_rep_fields(args))
-
-
 def _numeric_config(args, command: str) -> RepConfig:
     """The configuration of a command that prints doubles; it refuses exact mode."""
     if args.mode == "exact":
         raise DomainError(f"{command} prints floating-point values: --mode exact is "
                           "only honoured by verify")
-    return _rep_config(args)
+    if args.algebra == "s":
+        raise DomainError("representations are only constructed for the sigma algebra")
+    return RepConfig(args.n, _parse_q(args.q), _parse_lambda(args.lam), args.K)
 
 
 def cmd_normalize(args) -> int:
@@ -84,14 +76,12 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # every representation flag is checked, and a configuration is built only
-    # for the suites that read one, before the presentation, so a bad flag or
-    # an oversized numeric truncation is refused first
-    reads_rep = args.algebra == "sigma" and args.suite not in ("lemma-aux", "lemma-main", "confluence")
-    config = _rep_config(args) if reads_rep else None
-    if not reads_rep:
-        checked_fields(*_rep_fields(args))
-    reports = run_suite(args.suite, _presentation(args), config)
+    # every representation flag is checked before the presentation is built, and
+    # so is the size of the one truncation that is built: the numeric sampler's
+    params = rep_params(args.n, _parse_q(args.q), _parse_lambda(args.lam), args.K, args.mode)
+    if args.algebra == "sigma" and args.mode == "numeric" and args.suite in ("relations", "all"):
+        sampled_config(params)
+    reports = run_suite(args.suite, _presentation(args), params)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports], indent=None, sort_keys=True))
     else:

@@ -19,27 +19,23 @@ Every generator is therefore a weighted shift, described once by
 `generator_shift`: the slot it moves and in which direction, the weights of
 its prefix exponent, the step (2, or 4 in slot n) and radicand offset (0
 lowering, 1 raising) of its root, and its power of lambda, with
-conj(lambda) = 1/lambda.  The two amplitude modes read that description.
+conj(lambda) = 1/lambda.  Two readers share that description.
 
-Numeric mode evaluates it at q0 and lambda into `shift_table`: with basis
+`RepConfig` is the one representation type, and it is numeric: it
+evaluates the description at q0 and lambda into `shift_table`.  With basis
 vectors ranked lexicographically (k_1 major), each source rank gets one
 target rank, a stride (K+1)^(n-i) away for y_i and y_i*, and one complex
 amplitude, zero where the image vanishes, computed term by term as scalar
 complex arithmetic would.  A word acts on many basis vectors at once by
-composing its tables right to left.
+composing its tables right to left.  A configuration past MAX_DIM basis
+vectors is refused when it is built.  A state is a plain dict
+{k: complex amplitude}.
 
-Exact mode keeps no tables: `generic_image` applies an element to a generic
-basis vector |k> of the untruncated space, with t_i = q^(k_i) symbolic, so
-that `qsphere.verify` proves an identity for every cutoff, q0 and unit
-lambda at once, so an exact configuration takes any unit lambda and any
-cutoff.  It reads each generator's shift once per call, keeping only the
-nonzero prefix weights.
-
-Everything else here is numeric: `fock_array`, `shift_table`, `matrix`,
-`basis_state`, `apply_element` and `yn1_spectrum` refuse an exact
-configuration before they compute anything (`_require_numeric`), and a
-numeric configuration past MAX_DIM basis vectors is refused when it is
-built.  A state is a plain dict {k: complex amplitude}.
+The proofs read no configuration: `generic_image` applies an element to a
+generic basis vector |k> of the untruncated rank-n space, with t_i = q^(k_i)
+symbolic, so that `qsphere.verify` proves an identity for every cutoff, q0
+and unit lambda at once.  It reads each generator's shift once per call,
+keeping only the nonzero prefix weights.
 """
 
 from __future__ import annotations
@@ -56,10 +52,9 @@ from .scalar import DomainError, radical_canonicalize  # radical_canonicalize: p
 
 np = lazy_import("numpy")
 
-# Largest truncation (K+1)^n of a numeric configuration, refused in
-# `RepConfig.__post_init__` once `checked_fields` passes; an exact configuration
-# takes any size, since it builds no numeric object.  Bytes per basis vector
-# in numeric mode, from tracemalloc peaks:
+# Largest truncation (K+1)^n of a configuration, refused in
+# `RepConfig.__post_init__` once `checked_fields` passes.  Bytes per basis
+# vector, from tracemalloc peaks:
 #   fock_array                 8 n B, at most 160 B (n <= 20 once K >= 1)
 #   16 cached shift tables     16 x (8 B target + 16 B amplitude) = 384 B
 #   one matrix() call          350 B at n = 2, 510 B at n = 4, 1.0 KB at
@@ -69,7 +64,7 @@ np = lazy_import("numpy")
 MAX_DIM = 2**20
 
 
-def checked_fields(n: int, q0, lam, K: int, mode: str) -> tuple[Fraction, complex]:
+def checked_fields(n: int, q0, lam, K: int) -> tuple[Fraction, complex]:
     """Every check of a configuration's fields but the size gate, in order;
     returns q0 as a Fraction and lambda as a complex, a -0.0 part made 0.0
     (so -1j prints [0,-1])."""
@@ -79,8 +74,6 @@ def checked_fields(n: int, q0, lam, K: int, mode: str) -> tuple[Fraction, comple
         raise DomainError("cutoff K must be >= 0")
     if not 0 < Fraction(q0) < 1:
         raise DomainError(f"q0 = {q0} is outside (0, 1)")
-    if mode not in ("numeric", "exact"):
-        raise DomainError(f"unknown mode {mode!r}")
     lam = complex(lam)
     if not math.isfinite(abs(lam)):
         raise DomainError(f"lambda = {lam} is not finite")
@@ -91,33 +84,25 @@ def checked_fields(n: int, q0, lam, K: int, mode: str) -> tuple[Fraction, comple
 
 @dataclass(frozen=True)
 class RepConfig:
-    """Truncation parameters: rank n, rational q0 in (0,1), unitary lambda,
-    per-component cutoff K, and amplitude mode."""
+    """Truncation parameters: rank n, rational q0 in (0,1), unitary lambda
+    and per-component cutoff K."""
 
     n: int
     q0: Fraction
     lam: complex
     K: int
-    mode: str = "numeric"
 
     def __post_init__(self):
-        q0, lam = checked_fields(self.n, self.q0, self.lam, self.K, self.mode)
+        q0, lam = checked_fields(self.n, self.q0, self.lam, self.K)
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "lam", lam)
-        if self.mode == "numeric" and self.dim > MAX_DIM:
+        if self.dim > MAX_DIM:
             raise DomainError(f"(K+1)^n = {self.K + 1}^{self.n} basis vectors exceed "
                               f"the limit of {MAX_DIM}")
 
     @property
     def dim(self) -> int:
         return (self.K + 1) ** self.n
-
-
-def _require_numeric(c: RepConfig):
-    """The gate of every numeric entry point, called before anything is built."""
-    if c.mode != "numeric":
-        raise DomainError("numeric tables and states refuse exact mode: it is only "
-                          "honoured by the relations check of qsphere.verify")
 
 
 def fock_indices(c: RepConfig):
@@ -127,7 +112,6 @@ def fock_indices(c: RepConfig):
 
 def fock_array(c: RepConfig) -> np.ndarray:
     """All truncated indices as a (dim, n) array; row r is the index of rank r."""
-    _require_numeric(c)
     return np.indices((c.K + 1,) * c.n).reshape(c.n, -1).T
 
 
@@ -143,7 +127,6 @@ def _require_index(c: RepConfig, k: tuple[int, ...]):
 
 def basis_state(c: RepConfig, k: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
     """The state |k> as {k: 1}, checked to lie in the truncated basis."""
-    _require_numeric(c)
     k = tuple(k)
     _require_index(c, k)
     return {k: complex(1.0)}
@@ -258,7 +241,6 @@ def shift_table(c: RepConfig, g: Generator):
     """(target, amp) arrays for one generator, cached for the last few
     configurations: source rank r goes to target[r] with complex amplitude
     amp[r], zero where the image vanishes."""
-    _require_numeric(c)
     s = generator_shift(c.n, g)
     ranks, k = np.arange(c.dim), fock_array(c)
     ki = k[:, s.slot]
@@ -312,7 +294,6 @@ def apply_element(e: Element, v: dict, c: RepConfig) -> dict:
     """Act with an element on a numeric state {k: amplitude}: words act right
     to left and coefficients are evaluated at q0.  Zero amplitudes are dropped.
     Every index of the state must lie in the truncated basis."""
-    _require_numeric(c)
     for k in v:
         _require_index(c, tuple(k))
     src = np.array([rank_of(k, c) for k in v], dtype=np.int64)
@@ -338,7 +319,6 @@ class SparseMatrix:
 
 def matrix(e: Element, c: RepConfig) -> SparseMatrix:
     """Assemble the numeric matrix of an element, every column at once."""
-    _require_numeric(c)
     keys, values = _numeric_action(e, np.arange(c.dim), np.ones(c.dim, dtype=complex), c, c.dim)
     return SparseMatrix(c.dim, keys % c.dim, keys // c.dim, values)
 
@@ -347,7 +327,6 @@ def yn1_spectrum(c: RepConfig) -> list[complex]:
     """The diagonal of y_{n+1} in rank order, read from its `generator_shift`:
     lambda^power q0^(prefix . k) at each index k, from a table of the powers
     of q0 as in `shift_table`."""
-    _require_numeric(c)
     s = generator_shift(c.n, y(c.n + 1))
     lam = _lam_power(c, s.power)
     powers = [float(c.q0 ** e) for e in range(sum(s.prefix) * c.K + 1)]

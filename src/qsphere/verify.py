@@ -3,23 +3,24 @@
 Symbolic checks normalize a relation (or a derived identity: the power
 identities and the operator identities of the main lemma) and demand the
 zero element.  Representation checks prove the relations, the kernel
-dimensions and the lowest-weight basis from generic images (below);
-numeric mode samples the relations on one truncation instead.  Each check
-returns a CheckReport with the worst residual and the failing witnesses,
-serializable as JSON.
+dimensions and the lowest-weight basis from generic images (below).  Each
+check returns a CheckReport with the worst residual and the failing
+witnesses, serializable as JSON.
 
-The kernel and basis checks are proofs in either mode: each demands of
-the generic image of single generators the weighted shift its argument
-rests on.  `lemma_main`, like `lemma_aux`, is a proof in the algebra: it
-reads no representation, so it holds in every *-representation.  The
-mode chooses between proof and sample only for the relations, and
-nothing but that sample builds a table or runs numpy.
+The kernel, basis and relations proofs read only n: each demands of the
+generic image of single generators, or of each relation, what its
+argument rests on.  `lemma_main`, like `lemma_aux`, is a proof in the
+algebra: it reads no representation, so it holds in every
+*-representation.  The mode is read in `run_suite` alone: exact mode
+proves the relations, and numeric mode samples them on the truncation at
+K, q0 and lambda (`sample_relations_in_rep`), the one `rep.RepConfig`
+built here and the only check that builds a table or runs numpy.
 
-Exact mode proves the relations in the representation instead of
-sampling one truncation.  On a generic basis vector |k> of the untruncated
-space, with t_i = q^(k_i), each generator maps |k> to one vector |k + d>
-with amplitude lambda^p times a monomial in q and t times at most one atom
-sqrt(1 - q^a t_i^s), s = 2, or 4 in slot n (`rep.generator_shift`).  So a
+The relations proof reads generic images.  On a generic basis vector
+|k> of the untruncated space, with t_i = q^(k_i), each generator maps |k>
+to one vector |k + d> with amplitude lambda^p times a monomial in q and t
+times at most one atom sqrt(1 - q^a t_i^s), s = 2, or 4 in slot n
+(`rep.generator_shift`).  So a
 relation maps |k> to a finite sum, over shifts d and sets of atoms left
 under the root once repeated atoms are squared, of a Laurent polynomial in
 (q, t_1..t_n, lambda) times the square roots of those atoms
@@ -70,6 +71,7 @@ from .algebra import (
 from .rep import (  # apply_element is kept importable here: perfbench/tracing.py wraps it
     RepConfig,
     apply_element,
+    checked_fields,
     fock_array,
     generic_image,
     matrix,
@@ -127,9 +129,21 @@ def _sym_params(p: Presentation) -> dict:
     return {"kind": p.kind, "n": p.n, "sphere": p.sphere_reduction}
 
 
-def _rep_params(c: RepConfig) -> dict:
-    return {"n": c.n, "K": c.K, "q0": f"{c.q0.numerator}/{c.q0.denominator}",
-            "lambda": [c.lam.real, c.lam.imag], "mode": c.mode}
+def rep_params(n: int, q0, lam, K: int, mode: str) -> dict:
+    """The params of a representation report, {n, K, q0, lambda, mode}, once
+    `rep.checked_fields` and the mode are checked.  They label every such
+    report, but only the numeric sampler reads K, q0 and lambda."""
+    q0, lam = checked_fields(n, q0, lam, K)
+    if mode not in ("numeric", "exact"):
+        raise DomainError(f"unknown mode {mode!r}")
+    return {"n": n, "K": K, "q0": f"{q0.numerator}/{q0.denominator}",
+            "lambda": [lam.real, lam.imag], "mode": mode}
+
+
+def sampled_config(params: dict) -> RepConfig:
+    """The truncation that the numeric relations sampler reads at
+    `rep_params` params, refused past rep.MAX_DIM basis vectors."""
+    return RepConfig(params["n"], Fraction(params["q0"]), complex(*params["lambda"]), params["K"])
 
 
 # -- symbolic checks ---------------------------------------------------------
@@ -393,9 +407,10 @@ def _shift_witnesses(n: int, starred: bool, premises) -> list[dict]:
     return witnesses
 
 
-def check_kernel_structure(c: RepConfig) -> CheckReport:
+def check_kernel_structure(n: int) -> CheckReport:
     """dim H_k must equal (K+1)^(n-k), H_k the joint kernel of y_1..y_k on
-    the truncated space; so the joint kernel of all of them is the vacuum.
+    the rank-n space truncated at K; so the joint kernel of all of them is
+    the vacuum.
 
     A proof for every K, q0 in (0, 1) and unit lambda: the generic image of
     each y_i, i <= n, must be the shift -e_i under the single atom
@@ -407,11 +422,11 @@ def check_kernel_structure(c: RepConfig) -> CheckReport:
         return (("root sqrt(1 - t_i^s), s > 0", {(j, a, s > 0) for j, a, s in root} == {(i, 0, True)}),
                 ("monomial coefficient", len(coeff) == 1))
 
-    return CheckReport("kernel_structure", _rep_params(c), tolerance=0.0,
-                       witnesses=_shift_witnesses(c.n, False, premises))
+    return CheckReport("kernel_structure", {"n": n}, tolerance=0.0,
+                       witnesses=_shift_witnesses(n, False, premises))
 
 
-def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
+def check_lowest_weight_basis(n: int) -> CheckReport:
     """Rebuild |k> from the vacuum by raising and normalizing with q-shifted
     factorials: on the grid k <= K - 1, (y_1*)^(k_1) .. (y_n*)^(k_n) |0> must
     be prod_i sqrt((q^s;q^s)_(k_i)) |k>, s = 4 in slot n and 2 otherwise, so
@@ -424,13 +439,13 @@ def check_lowest_weight_basis(c: RepConfig) -> CheckReport:
     is 1, so each step multiplies the vector by sqrt(1 - q^(s(k_i+1))), and
     no step starts at the cutoff."""
     def premises(i, root, coeff):
-        s = 4 if i == c.n else 2
+        s = 4 if i == n else 2
         return (("root sqrt(1 - q^s t_i^s), s = 4 in slot n, else 2", root == {(i, s, s)}),
                 ("coefficient 1 times t_j, j < i", list(coeff.values()) == [1]
                  and not any(e for exps in coeff for e in (exps[0], *exps[i:]))))
 
-    return CheckReport("lowest_weight_basis", _rep_params(c), tolerance=0.0,
-                       witnesses=_shift_witnesses(c.n, True, premises))
+    return CheckReport("lowest_weight_basis", {"n": n}, tolerance=0.0,
+                       witnesses=_shift_witnesses(n, True, premises))
 
 
 def _monomial_text(exps, names) -> str:
@@ -472,30 +487,27 @@ def _image_witnesses(name: str, image: dict, n: int) -> list[dict]:
             for shift, root in sorted(image, key=lambda key: (key[0], sorted(key[1])))]
 
 
-def prove_relations_in_rep(n: int) -> list[dict]:
-    """Witnesses against the defining relations on a generic basis vector
-    (see the module docstring): none proves every relation on every |k>,
-    for every cutoff K, q0 in (0, 1) and unit lambda.  A witness names the
-    relation, the shift, the atoms under the root and the nonzero
-    coefficient; its residual is the largest coefficient magnitude."""
-    return [w for name, rel in relations_Sigma(n)
-            for w in _image_witnesses(name, generic_image(rel, n), n)]
-
-
-def check_relations_in_rep(c: RepConfig) -> CheckReport:
+def check_relations_in_rep(n: int) -> CheckReport:
     """Every raw defining relation (`algebra.relations_Sigma`) must vanish on
-    every interior basis vector (the sphere relation on every vector).  Exact
-    mode proves this for every K, q0 and unit lambda at once
-    (`prove_relations_in_rep`); numeric mode reads all columns from each
-    relation's matrix and demands residuals within 1e-12."""
+    a generic basis vector (see the module docstring), which proves it on
+    every |k>, for every cutoff K, q0 in (0, 1) and unit lambda.  A witness
+    names the relation, the shift, the atoms under the root and the nonzero
+    coefficient; its residual is the largest coefficient magnitude."""
+    report = CheckReport("relations_in_rep", {"n": n}, tolerance=0.0,
+                         witnesses=[w for name, rel in relations_Sigma(n)
+                                    for w in _image_witnesses(name, generic_image(rel, n), n)])
+    report.max_residual = max((w["residual"] for w in report.witnesses), default=0.0)
+    return report
+
+
+def sample_relations_in_rep(c: RepConfig) -> CheckReport:
+    """Every raw defining relation must vanish on every interior basis vector
+    of the truncation (the sphere relation on every vector), read from all
+    columns of each relation's matrix, with residuals within 1e-12."""
     if c.K < 2:
         raise DomainError("interior checks need K >= 2")
-    if c.mode == "exact":
-        report = CheckReport("relations_in_rep", _rep_params(c), tolerance=0.0,
-                             witnesses=prove_relations_in_rep(c.n))
-        report.max_residual = max((w["residual"] for w in report.witnesses), default=0.0)
-        return report
-    report = CheckReport("relations_in_rep", _rep_params(c), tolerance=NUMERIC_TOL)
+    report = CheckReport("relations_in_rep", rep_params(c.n, c.q0, c.lam, c.K, "numeric"),
+                         tolerance=NUMERIC_TOL)
     indices = fock_array(c)
     interior = np.flatnonzero(np.all(indices <= c.K - 2, axis=1))
     for name, rel in relations_Sigma(c.n):
@@ -514,35 +526,38 @@ def check_relations_in_rep(c: RepConfig) -> CheckReport:
 # -- suite orchestration -------------------------------------------------------
 
 SUITES = ("all", "relations", "lemma-aux", "lemma-main", "kernel", "basis", "confluence")
+_PROOFS = {"relations": check_relations_in_rep, "kernel": check_kernel_structure,
+           "basis": check_lowest_weight_basis}  # the representation proofs, which read only n
 
 
-def run_suite(suite: str, p: Presentation, c: RepConfig | None, m_max: int = 5) -> list[CheckReport]:
-    """Run one named suite (or all applicable ones) and return the reports."""
+def run_suite(suite: str, p: Presentation, params: dict | None = None, m_max: int = 5) -> list[CheckReport]:
+    """Run one named suite (or all applicable ones) and return the reports.
+    The representation reports carry params, from `rep_params`, whose mode
+    is read here alone: "numeric" samples the relations on
+    `sampled_config(params)`, and "exact" proves them.  With no params the
+    relations are proved and those reports carry n alone."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     reports: list[CheckReport] = []
     wants = SUITES[1:] if suite == "all" else (suite,)
     for name in wants:
-        if name == "relations":
-            reports.append(check_symbolic_relations(p))
-            if c is not None and p.kind == "Sigma":
-                reports.append(check_relations_in_rep(c))
-            continue
         if name == "confluence":
             reports.append(check_confluence(p))
             continue
-        if name in ("lemma-aux", "lemma-main") and p.kind == "Sigma":  # these read no representation
+        if name == "relations":
+            reports.append(check_symbolic_relations(p))
+        if p.kind != "Sigma":
+            if name != "relations" and suite != "all":
+                raise DomainError(f"suite {name!r} needs the Sigma algebra")
+            continue
+        if name in ("lemma-aux", "lemma-main"):  # these read no representation
             on = p if p.sphere_reduction else presentation_Sigma(p.n)
             reports += ([check_lemma_aux(on, m_max)] if name == "lemma-aux"
                         else [check_lemma_main(on, k) for k in range(1, p.n + 1)])
-            continue
-        if p.kind != "Sigma" or c is None:
-            if suite != "all":
-                raise DomainError(f"suite {name!r} needs the Sigma algebra and "
-                                  "representation parameters")
-            continue
-        if name == "kernel":
-            reports.append(check_kernel_structure(c))
-        elif name == "basis":
-            reports.append(check_lowest_weight_basis(c))
+        elif name == "relations" and params and params["mode"] == "numeric":
+            reports.append(sample_relations_in_rep(sampled_config(params)))
+        else:
+            report = _PROOFS[name](p.n)
+            report.params.update(params or {})
+            reports.append(report)
     return reports

@@ -114,6 +114,12 @@ class TestVerify:
                                 "--suite", "kernel"])
         assert code == 2
 
+    @pytest.mark.parametrize("suite", ["kernel", "basis", "lemma-aux", "lemma-main"])
+    def test_s_algebra_suite_needs_only_sigma(self, suite):
+        # none of the four reads a representation parameter
+        code, out, err = run_cli(["verify", "--algebra", "s", "--n", "2", "--suite", suite])
+        assert (code, out, err) == (2, "", f"error: suite '{suite}' needs the Sigma algebra\n")
+
     def test_bad_q_rejected(self):
         code, _, err = run_cli(["verify", "--q", "0.5"])
         assert code == 2
@@ -131,9 +137,38 @@ class TestVerify:
         assert "nested deeper" in err
 
     def test_oversized_truncation_exits_2(self):
-        code, out, err = run_cli(["verify", "--n", "10", "--K", "30", "--suite", "kernel"])
+        code, out, err = run_cli(["verify", "--n", "10", "--K", "30", "--suite", "relations"])
         assert code == 2
         assert "exceed" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "relations", "--n", "12"],
+        ["verify", "--suite", "all", "--n", "12"],
+        ["rep", "matrix", "--n", "12", "y1"],
+    ], ids=["relations", "all", "rep matrix"])
+    def test_numeric_sampler_and_matrix_refuse_the_size(self, argv):
+        # the numeric relations sampler and rep matrix build the 7^12 truncation
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err == "error: (K+1)^n = 7^12 basis vectors exceed the limit of 1048576\n"
+
+    @pytest.mark.parametrize("K", ["0", "1"])
+    @pytest.mark.parametrize("suite", ["relations", "all"])
+    def test_numeric_sampler_needs_an_interior(self, suite, K):
+        code, out, err = run_cli(["verify", "--suite", suite, "--n", "2", "--K", K])
+        assert (code, out, err) == (2, "", "error: interior checks need K >= 2\n")
+
+    @pytest.mark.parametrize("K", ["0", "1"])
+    @pytest.mark.parametrize("suite", ["relations", "all"])
+    def test_exact_relations_proof_takes_any_cutoff(self, suite, K):
+        # the proof reads no K, and its report carries the K that was asked for
+        code, out, err = run_cli(["verify", "--mode", "exact", "--suite", suite, "--n", "2", "--K", K,
+                                  "--format", "json"])
+        assert (code, err) == (0, "")
+        reports = json.loads(out)
+        [proof] = [r for r in reports if r["check"] == "relations_in_rep"]
+        assert proof["params"] == {"n": 2, "K": int(K), "q0": "1/2", "lambda": [1.0, 0.0], "mode": "exact"}
+        assert all(r["passed"] for r in reports)
 
     def test_oversized_truncation_is_refused_before_the_presentation(self, monkeypatch):
         from qsphere import cli as cli_mod
@@ -158,6 +193,9 @@ class TestVerify:
         # lemma-main is proved in the algebra: no table limit, and no K >= 2
         ["verify", "--suite", "lemma-main", "--n", "12"],
         ["verify", "--suite", "lemma-main", "--n", "3", "--K", "0"],
+        # the kernel and basis proofs read only n, in the default mode too
+        ["verify", "--suite", "kernel", "--n", "12"],
+        ["verify", "--suite", "basis", "--n", "12"],
     ])
     def test_exact_suites_without_tables_take_any_cutoff(self, argv):
         code, out, err = run_cli([*argv, "--format", "json"])
@@ -188,6 +226,21 @@ class TestVerify:
         assert [r["check"] for r in reports] == checks
         assert all(r["passed"] for r in reports)
         assert all(r["params"]["K"] == 10 for r in reports if "K" in r["params"])
+
+    @pytest.mark.parametrize("mode", ["numeric", "exact"])
+    @pytest.mark.parametrize("suite", ["kernel", "basis", "lemma-main"])
+    def test_proofs_build_no_configuration(self, suite, mode, monkeypatch):
+        from qsphere import cli as cli_mod
+        from qsphere import verify as verify_mod
+
+        def refuse(*args):
+            raise AssertionError("a configuration was built")
+
+        for module in (cli_mod, verify_mod):
+            monkeypatch.setattr(module, "RepConfig", refuse)
+        code, out, err = run_cli(["verify", "--mode", mode, "--suite", suite, "--n", "3", "--format", "json"])
+        assert code == 0 and err == ""
+        assert all(r["passed"] for r in json.loads(out))
 
     @pytest.mark.parametrize("argv", [
         ["normalize", "--n", "100000", "y1"],
@@ -305,9 +358,9 @@ class TestVerifyChecksEveryFlag:
         ["--n", "0", "--K", "-1"],
     ])
     def test_messages_and_order_match_a_suite_that_builds_a_configuration(self, flags):
-        want = run_cli(["verify", "--suite", "kernel", *flags])
+        want = run_cli(["verify", "--suite", "relations", *flags])
         assert want[0] == 2
-        for suite in ("lemma-aux", "lemma-main", "confluence"):
+        for suite in ("lemma-aux", "lemma-main", "kernel", "basis", "confluence"):
             assert run_cli(["verify", "--suite", suite, *flags]) == want
 
 
@@ -417,6 +470,7 @@ class TestLazyNumpy:
                  for suite in ("kernel", "basis", "lemma-main") for mode in ("numeric", "exact")]
         argvs += [["verify", "--n", "3", "--K", "7", "--mode", "exact", "--suite", suite]
                   for suite in ("relations", "all")]
+        argvs += [["verify", "--n", "12", "--suite", suite] for suite in ("kernel", "basis")]
         for argv, (code, out, _, loaded) in zip(argvs, run_fresh(*argvs)):
             assert code == 0 and "FAIL" not in out and out, argv
             assert loaded == [], argv

@@ -6,7 +6,7 @@ import json
 import math
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +27,6 @@ from qsphere.rep import (
     matrix,
     matrix_json,
     rank_of,
-    shift_table,
     yn1_spectrum,
 )
 from qsphere.scalar import DomainError, LaurentPoly
@@ -38,8 +37,8 @@ Q = LaurentPoly.q
 HALF = Fraction(1, 2)
 
 
-def cfg(n=1, q0=HALF, lam=1, K=6, mode="numeric"):
-    return RepConfig(n, q0, lam, K, mode)
+def cfg(n=1, q0=HALF, lam=1, K=6):
+    return RepConfig(n, q0, lam, K)
 
 
 def dense(m):
@@ -82,9 +81,11 @@ class TestConfig:
         with pytest.raises(DomainError, match=r"q0 = 2 is outside \(0, 1\)"):
             RepConfig(6, Fraction(2), 1, 10)
 
-    def test_rejects_unknown_mode_before_the_size(self):
-        with pytest.raises(DomainError, match="unknown mode 'bogus'"):
-            RepConfig(6, Fraction(1, 2), 1, 10, "bogus")
+    def test_has_no_mode(self):
+        # one numeric representation type: the proofs read generic images instead
+        assert [f.name for f in fields(RepConfig)] == ["n", "q0", "lam", "K"]
+        with pytest.raises(TypeError):
+            RepConfig(2, HALF, 1, 3, "exact")
 
     def test_rejects_non_unit_lambda(self):
         with pytest.raises(DomainError):
@@ -96,7 +97,7 @@ class TestConfig:
             cfg(lam=lam)
 
     def test_pythagorean_lambda(self):
-        c = cfg(lam=complex(0.6, 0.8), mode="exact")
+        c = cfg(lam=complex(0.6, 0.8))
         assert c.lam == complex(0.6, 0.8)
 
     def test_refuses_size_before_allocating(self, monkeypatch):
@@ -156,18 +157,6 @@ class TestApplyGenerator:
         # the index check basis_state makes, before numpy sees the index
         with pytest.raises(DomainError, match="outside the truncated basis"):
             apply_element(Element.of(y(1)), state, cfg(n=1, K=3))
-
-    @pytest.mark.parametrize("build", [
-        fock_array,
-        lambda c: shift_table(c, y(1)),
-        lambda c: matrix(Element.of(y(1)), c),
-        lambda c: basis_state(c, (0, 0)),
-        lambda c: apply_element(Element.of(y(1, True)), {(0, 0): 1.0}, c),
-        yn1_spectrum,
-    ], ids=["fock_array", "shift_table", "matrix", "basis_state", "apply_element", "yn1_spectrum"])
-    def test_exact_config_is_refused(self, build):
-        with pytest.raises(DomainError, match="refuse exact mode: it is only honoured by the relations check"):
-            build(cfg(n=2, K=3, mode="exact"))
 
 
 class TestApplyElement:
@@ -485,11 +474,10 @@ class TestExactRelations:
                 assert sympy.expand(ours.get(d, 0) - want.get(d, 0)) == 0, (e, d)
 
     def test_exact_relations_memory(self):
-        c = cfg(n=3, K=4, mode="exact")
-        check_relations_in_rep(c)  # a first run, so that one-off allocations are not counted
+        check_relations_in_rep(3)  # a first run, so that one-off allocations are not counted
         tracemalloc.start()
         try:
-            report = check_relations_in_rep(c)
+            report = check_relations_in_rep(3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

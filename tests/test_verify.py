@@ -31,13 +31,10 @@ from qsphere.algebra import (
 from qsphere.rep import (
     RepConfig,
     SparseMatrix,
-    apply_element,
-    basis_state,
     fock_array,
     fock_indices,
     matrix,
     shift_table,
-    yn1_spectrum,
 )
 from qsphere.scalar import DomainError, LaurentPoly, qpochhammer
 from qsphere.verify import (
@@ -52,16 +49,18 @@ from qsphere.verify import (
     check_symbolic_relations,
     lemma_aux_identity,
     lemma_main_identities,
-    prove_relations_in_rep,
+    rep_params,
     run_suite,
+    sample_relations_in_rep,
+    sampled_config,
 )
 
 HALF = Fraction(1, 2)
 UNIT_LAMBDAS = (1, 1j, complex(0.6, 0.8), complex(math.cos(0.3), math.sin(0.3)))
 
 
-def cfg(n=1, q0=HALF, lam=1, K=6, mode="numeric"):
-    return RepConfig(n, q0, lam, K, mode)
+def cfg(n=1, q0=HALF, lam=1, K=6):
+    return RepConfig(n, q0, lam, K)
 
 
 def _with_rule(p, lhs, edit):
@@ -346,22 +345,22 @@ class TestKernels:
     def test_dims_n2_k3(self):
         c = cfg(n=2, K=3)
         assert _svd_kernel_dims(c) == [4, 1]
-        assert check_kernel_structure(c).passed
+        assert check_kernel_structure(2).passed
 
     def test_lowest_weight_space_always_one_dim(self):
         for n in (1, 2):
             for K in (3, 4):
                 c = cfg(n=n, K=K, q0=Fraction(1, 3))
                 assert _svd_kernel_dims(c)[-1] == 1
-                assert check_kernel_structure(c).passed
+                assert check_kernel_structure(n).passed
 
     def test_n1_k5(self):
         assert _svd_kernel_dims(cfg(n=1, K=5)) == [1]
-        assert check_kernel_structure(cfg(n=1, K=5)).passed
+        assert check_kernel_structure(1).passed
 
     def test_structure_report(self):
-        report = check_kernel_structure(cfg(n=3, K=3))
-        assert report.passed
+        report = check_kernel_structure(3)
+        assert report.passed and report.params == {"n": 3}
 
 
 class TestLemmaMain:
@@ -373,7 +372,7 @@ class TestLemmaMain:
     def test_n2_k1_complex_lambda(self):
         # the proof reads no representation: a configuration, any lambda, changes no report
         p = presentation_Sigma(2)
-        reports = run_suite("lemma-main", p, cfg(n=2, q0=Fraction(3, 5), lam=1j, K=5))
+        reports = run_suite("lemma-main", p, rep_params(2, Fraction(3, 5), 1j, 5, "numeric"))
         assert [r.to_json() for r in reports] == [r.to_json() for r in run_suite("lemma-main", p, None)]
         assert [(r.params["k"], r.passed) for r in reports] == [(1, True), (2, True)]
 
@@ -418,8 +417,8 @@ class TestLemmaMain:
             monkeypatch.setattr(module, "generic_image", refuse)
         monkeypatch.setattr(rep_mod, "generator_shift", refuse)
         for p in (presentation_Sigma(n), presentation_Sigma(n, False)):
-            for c in (None, cfg(n=n, K=0)):
-                reports = run_suite("lemma-main", p, c)
+            for params in (None, rep_params(n, HALF, 1, 0, "numeric")):
+                reports = run_suite("lemma-main", p, params)
                 assert [r.params["k"] for r in reports] == list(range(1, n + 1))
                 assert all(r.passed and r.params["sphere"] for r in reports)
 
@@ -511,16 +510,18 @@ class TestLemmaMainRefutations:
 class TestLowestWeightBasis:
     def test_n1_single_step(self):
         # y_1* |0> = sqrt(1-q^4) |1> and (q^4;q^4)_1 = 1-q^4
-        report = check_lowest_weight_basis(cfg(n=1, K=2))
+        report = check_lowest_weight_basis(1)
         assert report.passed
 
     def test_n2_gram_identity(self):
-        report = check_lowest_weight_basis(cfg(n=2, K=4))
+        report = check_lowest_weight_basis(2)
         assert report.passed, report.witnesses[:2]
 
     def test_empty_grid_at_cutoff_zero(self):
-        report = check_lowest_weight_basis(cfg(n=2, K=0))
+        # the proof reads no K; at K = 0 the dense oracle has an empty grid
+        report = check_lowest_weight_basis(2)
         assert report.passed and report.max_residual == 0.0
+        assert _dense_lowest_weight_basis(cfg(n=2, K=0)) == (0.0, 0)
 
     def test_large_cutoff_does_no_symbolic_work(self, monkeypatch):
         def refuse(*args):
@@ -528,34 +529,64 @@ class TestLowestWeightBasis:
 
         monkeypatch.setattr(verify_mod, "qpochhammer", refuse)
         start = time.perf_counter()
-        report = check_lowest_weight_basis(cfg(n=1, K=100, q0=Fraction(3, 5)))
+        [report] = run_suite("basis", presentation_Sigma(1), rep_params(1, Fraction(3, 5), 1, 100, "numeric"))
         assert report.passed
         assert time.perf_counter() - start < 5.0
 
 
 class TestRelationsInRep:
     def test_numeric_grid_point(self):
-        report = check_relations_in_rep(cfg(n=2, q0=Fraction(3, 5), lam=1j, K=4))
+        report = sample_relations_in_rep(cfg(n=2, q0=Fraction(3, 5), lam=1j, K=4))
         assert report.passed, report.witnesses[:2]
 
     def test_exact_mode_is_a_proof_for_every_cutoff(self):
-        # The report does not depend on K, q0 or lambda; n = 10 fits only K <= 3.
+        # The proof reads only n, so it covers every K, q0 and lambda; a table at n = 10 fits only K <= 3.
         start = time.perf_counter()
-        assert all(prove_relations_in_rep(n) == [] for n in range(1, 11))
+        reports = [check_relations_in_rep(n) for n in range(1, 11)]
         assert time.perf_counter() - start < 1.0
-        for n in range(1, 11):
-            report = check_relations_in_rep(cfg(n=n, K=2, lam=1j, mode="exact"))
+        for n, report in enumerate(reports, start=1):
             assert report.passed and report.max_residual == 0.0 and report.witnesses == []
+            assert report.params == {"n": n}
 
     def test_exact_mode_gives_literal_zero(self):
-        report = check_relations_in_rep(cfg(n=1, K=5, mode="exact"))
+        [_, report] = run_suite("relations", presentation_Sigma(1), rep_params(1, HALF, 1, 5, "exact"))
         assert report.passed
         assert report.max_residual == 0.0
 
 
+class TestRepParams:
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(DomainError, match="unknown mode 'bogus'"):
+            rep_params(6, HALF, 1, 10, "bogus")
+
+    def test_checks_the_fields_as_a_configuration_does(self):
+        for args, message in (((0, HALF, 1, 3), "n must be >= 1"), ((1, HALF, 1, -1), "cutoff K"),
+                              ((1, Fraction(2), 1, 3), "outside"), ((1, HALF, 2, 3), "is not 1")):
+            for build in (lambda: rep_params(*args, "exact"), lambda: cfg(*args)):
+                with pytest.raises(DomainError, match=message):
+                    build()
+
+    def test_params_in_report_order(self):
+        params = rep_params(2, Fraction(3, 5), complex(-0.0, -1), 4, "exact")
+        assert list(params.items()) == [("n", 2), ("K", 4), ("q0", "3/5"), ("lambda", [0.0, -1.0]),
+                                        ("mode", "exact")]
+        assert str(params["lambda"]) == "[0.0, -1.0]"  # no -0.0 part
+
+    @pytest.mark.parametrize("lam", UNIT_LAMBDAS)
+    def test_sampled_config_round_trips(self, lam):
+        for n, K, q0 in ((1, 0, HALF), (2, 5, Fraction(3, 5)), (3, 2, Fraction(1, 3))):
+            assert sampled_config(rep_params(n, q0, lam, K, "numeric")) == cfg(n, q0, lam, K)
+
+    def test_no_params_prove_the_relations(self):
+        reports = run_suite("relations", presentation_Sigma(2))
+        assert [(r.name, r.params, r.tolerance) for r in reports] == [
+            ("symbolic_relations", {"kind": "Sigma", "n": 2, "sphere": True}, 0.0),
+            ("relations_in_rep", {"n": 2}, 0.0)]
+
+
 class TestSuite:
     def test_all_suite_sigma(self):
-        reports = run_suite("all", presentation_Sigma(1), cfg(n=1, K=4), m_max=2)
+        reports = run_suite("all", presentation_Sigma(1), rep_params(1, HALF, 1, 4, "numeric"), m_max=2)
         assert len(reports) >= 5
         assert all(r.passed for r in reports), [str(r) for r in reports if not r.passed]
 
@@ -567,9 +598,10 @@ class TestSuite:
         with pytest.raises(DomainError):
             run_suite("bogus", presentation_Sigma(1), None)
 
-    def test_named_suite_needs_rep_for_s(self):
-        with pytest.raises(DomainError):
-            run_suite("kernel", presentation_S(1), None)
+    @pytest.mark.parametrize("suite", ["kernel", "basis", "lemma-aux", "lemma-main"])
+    def test_named_suite_needs_sigma(self, suite):
+        with pytest.raises(DomainError, match=f"^suite '{suite}' needs the Sigma algebra$"):
+            run_suite(suite, presentation_S(1), rep_params(1, HALF, 1, 4, "numeric"))
 
 
 # -- the singular-value paths, kept as references for the counting checks -------
@@ -638,7 +670,7 @@ class TestAgainstSingularValues:
             for K in range(6):
                 c = cfg(n=n, K=K, q0=Fraction(1, 3) if K % 2 else Fraction(3, 5))
                 assert _svd_kernel_dims(c) == _kernel_dims(c), (n, K)
-                assert check_kernel_structure(c).passed
+            assert check_kernel_structure(n).passed
 
     def test_lemma_main_residuals_match_svd_basis(self):
         for n in (1, 2, 3):
@@ -688,9 +720,8 @@ class TestReductionAgainstDense:
         for n in (1, 2, 3):
             for K in range(6):
                 for q0 in (HALF, Fraction(3, 5), Fraction(1, 3)):
-                    c = cfg(n=n, K=K, q0=q0, lam=lam)
-                    report = check_lowest_weight_basis(c)
-                    residual, witnesses = _dense_lowest_weight_basis(c)
+                    report = check_lowest_weight_basis(n)
+                    residual, witnesses = _dense_lowest_weight_basis(cfg(n=n, K=K, q0=q0, lam=lam))
                     assert abs(report.max_residual - residual) < 1e-12, (n, K, q0)
                     assert len(report.witnesses) == witnesses
 
@@ -700,7 +731,7 @@ class TestReductionAgainstDense:
         try:
             for k in range(1, c.n + 1):
                 _numeric_lemma_main(c, k)
-            check_lowest_weight_basis(c)
+            check_lowest_weight_basis(c.n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -935,8 +966,8 @@ class TestGenericProof:
     def test_mutation_fails_both_checks(self, mutate, name, n):
         mutate(name)
         lam = UNIT_LAMBDAS[2]
-        exact = check_relations_in_rep(cfg(n=n, K=4, lam=lam, mode="exact"))
-        numeric = check_relations_in_rep(cfg(n=n, K=4, lam=lam))
+        exact = check_relations_in_rep(n)
+        numeric = sample_relations_in_rep(cfg(n=n, K=4, lam=lam))
         assert not exact.passed and exact.witnesses and exact.max_residual > 0
         assert not numeric.passed and numeric.witnesses
         for w in exact.witnesses:
@@ -963,7 +994,7 @@ class TestGenericProof:
         # lemma-main reads no representation: relations_in_rep refutes every mutation
         mutate(name)
         for n in (1, 2, 3):
-            reports = run_suite("all", presentation_Sigma(n), cfg(n=n, K=4, lam=UNIT_LAMBDAS[2], mode=mode))
+            reports = run_suite("all", presentation_Sigma(n), rep_params(n, HALF, UNIT_LAMBDAS[2], 4, mode))
             failed = {r.name for r in reports if not r.passed}
             assert "relations_in_rep" in failed and "lemma_main" not in failed, n
 
@@ -972,7 +1003,7 @@ class TestGenericProof:
         # (1 - q^2 t1^2) - (1 - t1^2) - (1 - q^4) t1^4, and the sphere
         # relation (1 - t1^2) + t1^4 - 1.
         mutate("step 2 in the last slot")
-        assert prove_relations_in_rep(1) == [
+        assert check_relations_in_rep(1).witnesses == [
             {"relation": "diag[1]", "shift": [0], "root": [],
              "coefficient": "t1^2 - t1^4 - q^2*t1^2 + q^4*t1^4", "residual": 1.0},
             {"relation": "sphere", "shift": [0], "root": [],
@@ -986,8 +1017,8 @@ class TestGenericProof:
         if name is not None:
             mutate(name)
         for lam in UNIT_LAMBDAS if name is None else UNIT_LAMBDAS[1:]:
-            numeric = check_relations_in_rep(cfg(n=n, K=K, lam=lam))
-            exact = check_relations_in_rep(cfg(n=n, K=K, lam=lam, mode="exact"))
+            numeric = sample_relations_in_rep(cfg(n=n, K=K, lam=lam))
+            exact = check_relations_in_rep(n)
             assert exact.passed == numeric.passed == (name is None), lam
 
 
@@ -1003,7 +1034,7 @@ class TestProofsAgainstOracles:
     @staticmethod
     def verdicts(check, oracle_fails):
         """(proof passed, oracle failed) for each grid point."""
-        return [(check(c).passed, oracle_fails(c))
+        return [(check(c.n).passed, oracle_fails(c))
                 for c in (cfg(n, q0, lam, K) for n, K, q0, lam in ORACLE_GRID)]
 
     @pytest.mark.parametrize("name", [None, *MUTATIONS])
@@ -1049,7 +1080,7 @@ class TestProofsAgainstOracles:
         mutate("lowering root with offset 1")
         c = cfg(n=n, K=4, lam=1j)
         assert _svd_kernel_dims(c) == _kernel_dims(c)
-        assert check_kernel_structure(c).witnesses == [
+        assert check_kernel_structure(n).witnesses == [
             {"generator": f"y{i}", "premise": "root sqrt(1 - t_i^s), s > 0"} for i in range(1, n + 1)]
 
 
@@ -1065,7 +1096,7 @@ class TestStatementsTakeNoElementProducts:
         monkeypatch.setattr(Element, "__mul__", refuse)
         monkeypatch.setattr(Element, "__pow__", refuse)
         assert check_lemma_aux(p, 12).passed
-        assert prove_relations_in_rep(n) == []
+        assert check_relations_in_rep(n).witnesses == []
         assert all(check_lemma_main(p, k).passed for k in range(1, n + 1))
 
 
@@ -1089,50 +1120,42 @@ class TestImagesIgnoreTermOrder:
 
 
 class TestTableLimit:
-    """(K+1)^n > 2^20 is refused when a numeric configuration is built; an
-    exact one builds no numeric object, so the exact relations proof and the
+    """(K+1)^n > 2^20 is refused when a configuration is built, and only the
+    numeric relations sampler builds one, so the relations proof and the
     lemma-main, kernel and basis proofs take any cutoff."""
 
     REFUSED = r"\(K\+1\)\^n = 11\^6 basis vectors exceed the limit of 1048576"
-    GATE = "refuse exact mode: it is only honoured by the relations check"
 
     def test_exact_relations_take_any_cutoff(self):
-        for K in (10, 12, 1000):
-            report = check_relations_in_rep(cfg(n=6, K=K, lam=1j, mode="exact"))
-            assert report.passed and report.witnesses == []
+        for K in (0, 1, 10, 12, 1000):
+            [_, report] = run_suite("relations", presentation_Sigma(6), rep_params(6, HALF, 1j, K, "exact"))
+            assert report.passed and report.witnesses == [] and report.params["K"] == K
 
     def test_numeric_configuration_is_refused(self):
         with pytest.raises(DomainError, match=self.REFUSED):
             cfg(n=6, K=10)
 
+    @pytest.mark.parametrize("mode", ["numeric", "exact"])
     @pytest.mark.parametrize("suite", ["kernel", "basis", "lemma-main"])
-    def test_exact_kernel_and_basis_take_any_cutoff(self, suite, monkeypatch):
+    def test_kernel_basis_and_lemma_main_take_any_cutoff(self, suite, mode, monkeypatch):
         def refuse(*args):
             raise AssertionError("a table was built")
 
         for module in (rep_mod, verify_mod):
             monkeypatch.setattr(module, "fock_array", refuse)
+            monkeypatch.setattr(module, "RepConfig", refuse)
         monkeypatch.setattr(rep_mod, "shift_table", refuse)
         for K in (10, 1000):
-            reports = run_suite(suite, presentation_Sigma(6), cfg(n=6, K=K, lam=1j, mode="exact"))
+            reports = run_suite(suite, presentation_Sigma(6), rep_params(6, HALF, 1j, K, mode))
             assert len(reports) == (6 if suite == "lemma-main" else 1)
             # lemma-main reads no representation, so its reports carry no K
             assert all(r.passed and r.witnesses == [] and r.params.get("K", K) == K for r in reports)
 
-    @pytest.mark.parametrize("build", [
-        fock_array,
-        lambda c: shift_table(c, y(1)),
-        lambda c: matrix(Element.of(y(1)), c),
-        lambda c: basis_state(c, (0,) * 6),
-        lambda c: apply_element(Element.of(y(1)), {(0,) * 6: 1.0}, c),
-        yn1_spectrum,
-    ], ids=["fock_array", "shift_table", "matrix", "basis_state", "apply_element", "yn1_spectrum"])
-    def test_exact_tables_are_refused_before_allocation(self, build):
-        c = cfg(n=6, K=10, mode="exact")
+    def test_oversized_configuration_is_refused_before_allocation(self):
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match=self.GATE):
-                build(c)
+            with pytest.raises(DomainError, match=self.REFUSED):
+                cfg(n=6, K=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1179,7 +1202,7 @@ class TestStatementCaches:
             (lambda: check_symbolic_relations(presentation_Sigma(n)), normalized,
              [rel for _, rel in relations_Sigma(n)]),
             (lambda: check_symbolic_relations(presentation_S(n, False)), normalized, raw),
-            (lambda: prove_relations_in_rep(n), imaged, [rel for _, rel in relations_Sigma(n)]),
+            (lambda: check_relations_in_rep(n).witnesses, imaged, [rel for _, rel in relations_Sigma(n)]),
             (lambda: check_lemma_aux(presentation_Sigma(n), 5), normalized,
              [lemma_aux_identity(n, i, m) for i in range(1, n + 1) for m in (1, 2)]),
             (lambda: run_suite("lemma-main", presentation_Sigma(n), None), normalized,
@@ -1200,8 +1223,8 @@ class TestWarmCachesCannotMaskMutations:
     LAMBDA = UNIT_LAMBDAS[2]
 
     def relations_reports(self, n):
-        return [check_relations_in_rep(cfg(n=n, K=4, lam=self.LAMBDA, mode=mode)).to_json()
-                for mode in ("exact", "numeric")]
+        return [check_relations_in_rep(n).to_json(),
+                sample_relations_in_rep(cfg(n=n, K=4, lam=self.LAMBDA)).to_json()]
 
     def warm(self, n):
         """Fill every statement cache with passing checks."""
