@@ -28,10 +28,11 @@ Rule right-hand sides are interreduced at build time.
 
 One word order, `Presentation.word_key`, orients the relations, picks the
 next term and proves termination (`validate`); see verify.check_confluence.
-Normalization runs on words coded as tuples of generator ranks: rules are
-looked up by rank pair, the next term is popped from a heap in word_key
-order, and `Word` and `Generator` appear only at the edges (the input
-check, `RewriteFuelError` and the result).
+Normalization runs on rank-coded words, in one core, `normalize_ranks`,
+from a {ranks: coefficient} dict to another: rules are looked up by rank
+pair, and the next term is popped from a heap in word_key order.  `Word`
+and `Generator` appear only at the edges: `normalize_steps`,
+`RewriteFuelError`, and the witnesses of the rank-coded `verify` proofs.
 
 A `Presentation` is immutable: its rules are fixed at construction, as
 Bergman's diamond lemma assumes, `rules` is a read-only mapping, and the
@@ -327,6 +328,9 @@ class Presentation:
     def word(self, ranks: tuple[int, ...]) -> Word:
         return Word(tuple(map(self.generators.__getitem__, ranks)))
 
+    def element(self, terms) -> Element:  # of a rank-coded {ranks: coefficient} dict
+        return Element({self.word(ranks): c for ranks, c in terms.items()})
+
     def word_key(self, ranks: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
         """(total weight, length, ranks) of a rank-coded word: weighted degree-lex."""
         return (sum(map(self._weights.__getitem__, ranks)), len(ranks), ranks)
@@ -603,8 +607,9 @@ def _build_presentation(kind: str, n: int, sphere_reduction: bool) -> Presentati
     # rule ever reintroduces a reducible word (with sphere reduction on,
     # the raw diagonal relations mention the eliminated pair).  Each pass
     # rewrites against the rules of the pass before.
+    fuel = _fuel()
     for _ in range(20):
-        changed = {lhs: nf for lhs, rhs in rules.items() if (nf := normalize(rhs, p)) != rhs}
+        changed = {lhs: nf for lhs, rhs in rules.items() if (nf := normalize(rhs, p, fuel)) != rhs}
         if not changed:
             break
         rules = {**rules, **changed}
@@ -638,37 +643,32 @@ def presentation_Sigma(n: int, sphere_reduction: bool = True) -> Presentation:
 # -- normalization -----------------------------------------------------------
 
 
-def _default_fuel() -> int:
-    text = os.environ.get("QSPHERE_FUEL", str(DEFAULT_FUEL))
-    try:
-        return int(text)
-    except ValueError:
-        raise DomainError(f"QSPHERE_FUEL must be an integer, got {text!r}") from None
-
-
-def normalize_steps(e: Element, p: Presentation, fuel: int | None = None) -> tuple[Element, int]:
-    """Normalize and report the number of rewrite steps used.
-
-    Words are rank-coded, and the term rewritten next is always the
-    largest pending word in word_key order, popped from a heap that holds
-    one entry per pending word, keyed once when the word first appears.
-    A popped word never returns: `validate` proves that every step yields
-    words strictly below the word it rewrites, and every pending word lies
-    below the popped one.  A word whose coefficient has since cancelled
-    keeps its entry and is skipped when popped.  So the pops, normal forms
-    and step counts are those of taking max(pending, key=word_key) at
-    every step."""
+def _fuel(fuel: int | None = None) -> int:
+    """fuel, or QSPHERE_FUEL (default DEFAULT_FUEL) if it is None, checked positive."""
     if fuel is None:
-        fuel = _default_fuel()
+        text = os.environ.get("QSPHERE_FUEL", str(DEFAULT_FUEL))
+        try:
+            fuel = int(text)
+        except ValueError:
+            raise DomainError(f"QSPHERE_FUEL must be an integer, got {text!r}") from None
     if fuel <= 0:
         raise DomainError("fuel must be positive")
-    pending: dict[tuple[int, ...], LaurentPoly] = {}
-    for word, coeff in e._terms.items():
-        try:
-            pending[p.ranks(word)] = coeff
-        except KeyError as err:
-            raise DomainError(f"generator {err.args[0]} does not belong to the "
-                              f"{p.kind} presentation") from None
+    return fuel
+
+
+def normalize_ranks(terms, p: Presentation, fuel: int) -> tuple[dict[tuple[int, ...], LaurentPoly], int]:
+    """The normal form of rank-coded terms, left unchanged, as {ranks: nonzero
+    coefficient}, and the number of rewrite steps used; fuel is a positive int.
+
+    The term rewritten next is always the largest pending word in word_key
+    order, popped from a heap that holds one entry per pending word, keyed
+    once when the word first appears.  A popped word never returns:
+    `validate` proves that every step yields words strictly below the word
+    it rewrites, and every pending word lies below the popped one.  A word
+    whose coefficient has since cancelled keeps its entry and is skipped
+    when popped.  So the pops, normal forms and step counts are those of
+    taking max(pending, key=word_key) at every step."""
+    pending = dict(terms)
     step, key = p._step, p.word_key
 
     def entry(ranks):  # heapq pops its least entry; this reverses word_key
@@ -698,7 +698,19 @@ def normalize_steps(e: Element, p: Presentation, fuel: int | None = None) -> tup
                 heappush(heap, entry(rw))
             else:
                 pending[rw] = old + coeff * rc
-    return Element({p.word(ranks): c for ranks, c in done.items()}), steps
+    return done, steps
+
+
+def normalize_steps(e: Element, p: Presentation, fuel: int | None = None) -> tuple[Element, int]:
+    """Normalize and report the rewrite steps used: the Element edge of `normalize_ranks`."""
+    fuel = _fuel(fuel)
+    try:
+        terms = {p.ranks(word): coeff for word, coeff in e._terms.items()}
+    except KeyError as err:
+        raise DomainError(f"generator {err.args[0]} does not belong to the "
+                          f"{p.kind} presentation") from None
+    done, steps = normalize_ranks(terms, p, fuel)
+    return p.element(done), steps
 
 
 def normalize(e: Element, p: Presentation, fuel: int | None = None) -> Element:

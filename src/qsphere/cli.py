@@ -81,7 +81,8 @@ def cmd_verify(args) -> int:
     params = rep_params(args.n, _parse_q(args.q), _parse_lambda(args.lam), args.K, args.mode)
     if args.algebra == "sigma" and args.mode == "numeric" and args.suite in ("relations", "all"):
         sampled_config(params)
-    reports = run_suite(args.suite, _presentation(args), params)
+    n_only = ("S" if args.algebra == "s" else "Sigma", args.n)  # all that the kernel and basis proofs read
+    reports = run_suite(args.suite, n_only if args.suite in ("kernel", "basis") else _presentation(args), params)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports], indent=None, sort_keys=True))
     else:

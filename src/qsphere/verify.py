@@ -60,8 +60,11 @@ from .algebra import (
     Element,
     Presentation,
     Word,
+    _fuel,
+    _require_size,
     _scalar_exchange,
     normalize,
+    normalize_ranks,
     presentation_S,
     presentation_Sigma,
     relations_S,
@@ -166,14 +169,15 @@ def check_symbolic_relations(p: Presentation) -> CheckReport:
     return report
 
 
-def lemma_aux_identity(n: int, i: int, m: int) -> Element:
+def _lemma_aux_terms(n: int, i: int, m: int, code) -> dict[tuple, LaurentPoly]:
     """LHS - RHS of the lowering/raising power identity
 
         y_i (y_i*)^m - q^(2m) (y_i*)^m y_i
                      - (1 - q^(2m)) (y_i*)^(m-1) (1 - sum_{k<i} y_k* y_k)
 
     with exponents 4m in place of 2m when i = n, written out in closed
-    form.  With Y = y_i*, s the step and c = q^(sm), its terms are
+    form as {letters: coefficient}, each letter code(generator).  With
+    Y = y_i*, s the step and c = q^(sm), its terms are
 
         y_i Y^m                      coefficient 1
         Y^m y_i                      coefficient -c
@@ -185,12 +189,26 @@ def lemma_aux_identity(n: int, i: int, m: int) -> Element:
         raise DomainError("i must lie in 1..n")
     if m < 1:
         raise DomainError("m must be >= 1")
-    ys, c = y(i, True), Q((4 if i == n else 2) * m)
+    ys, yi, c = code(y(i, True)), code(y(i)), Q((4 if i == n else 2) * m)
     low = (ys,) * (m - 1)  # the letters of Y^(m-1)
-    terms = {Word((y(i), *low, ys)): ONE, Word((*low, ys, y(i))): -c, Word(low): c - ONE}
+    terms = {(yi, *low, ys): ONE, (*low, ys, yi): -c, low: c - ONE}
     for k in range(1, i):
-        terms[Word((*low, y(k, True), y(k)))] = ONE - c
-    return Element(terms)
+        terms[(*low, code(y(k, True)), code(y(k)))] = ONE - c
+    return terms
+
+
+def lemma_aux_identity(n: int, i: int, m: int) -> Element:
+    """The power identity I_m at i: the Element view of `_lemma_aux_terms`."""
+    return Element({Word(w): c for w, c in _lemma_aux_terms(n, i, m, lambda g: g).items()})
+
+
+def _refute(report: CheckReport, p: Presentation, terms, fuel: int, **names):
+    """A witness (names, normal form, guard residual) if the rank-coded terms are not 0 in p."""
+    nf = p.element(normalize_ranks(terms, p, fuel)[0])
+    if not nf.is_zero():
+        residual = _element_guard_residual(nf)
+        report.max_residual = max(report.max_residual, residual)
+        report.witnesses.append({**names, "normal_form": str(nf), "residual": residual})
 
 
 def check_lemma_aux(p: Presentation, m_max: int) -> CheckReport:
@@ -216,23 +234,18 @@ def check_lemma_aux(p: Presentation, m_max: int) -> CheckReport:
         raise DomainError("the power identities require sphere reduction on")
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
-    params = dict(_sym_params(p), m_max=m_max)
-    report = CheckReport("lemma_aux", params, tolerance=0.0)
+    report = CheckReport("lemma_aux", dict(_sym_params(p), m_max=m_max), tolerance=0.0)
+    fuel, code = _fuel(), p.rank.__getitem__
     for i in range(1, p.n + 1):
         for m in range(1, min(m_max, 2) + 1):
-            nf = normalize(lemma_aux_identity(p.n, i, m), p)
-            if not nf.is_zero():
-                residual = _element_guard_residual(nf)
-                report.max_residual = max(report.max_residual, residual)
-                report.witnesses.append({"i": i, "m": m, "normal_form": str(nf),
-                                         "residual": residual})
+            _refute(report, p, _lemma_aux_terms(p.n, i, m, code), fuel, i=i, m=m)
     return report
 
 
-def lemma_main_identities(n: int, k: int) -> dict[str, Element]:
-    """The identities of the main lemma at k, each an element that must be 0
-    in the algebra.  With A = sum_{i>k} y_i* y_i, B = y_k and mu = q^s, s = 4
-    if k = n and 2 otherwise:
+def _lemma_main_terms(n: int, k: int, code) -> dict[str, dict[tuple, LaurentPoly]]:
+    """The identities of the main lemma at k, each 0 in the algebra, as
+    {letters: coefficient}, each letter code(generator).  With A = sum_{i>k}
+    y_i* y_i, B = y_k and mu = q^s, s = 4 if k = n and 2 otherwise:
 
         commutator  BB* - B*B - (1 - mu) A            relation diag[k]
         sphere      A + B*B - 1 + sum_{j<k} y_j* y_j  the sphere relation
@@ -242,19 +255,24 @@ def lemma_main_identities(n: int, k: int) -> dict[str, Element]:
     so no two terms combine."""
     if not 1 <= k <= n:
         raise DomainError("k must lie in 1..n")
-    b, bs, mu = y(k), y(k, True), Q(4 if k == n else 2)
-    a = [(y(i, True), y(i)) for i in range(k + 1, n + 2)]
-    identities = {
+    pairs = [(code(y(i, True)), code(y(i))) for i in range(1, n + 2)]  # the words y_i* y_i
+    (bs, b), a, mu = pairs[k - 1], pairs[k:], Q(4 if k == n else 2)
+    return {
         "commutator": {(b, bs): ONE, (bs, b): -ONE, **dict.fromkeys(a, mu - ONE)},
-        "sphere": {**dict.fromkeys([*((y(j, True), y(j)) for j in range(1, k)), (bs, b), *a], ONE), (): -ONE},
+        "sphere": {**dict.fromkeys(pairs, ONE), (): -ONE},
         "exchange": {**dict.fromkeys([(*w, b) for w in a], mu), **dict.fromkeys([(b, *w) for w in a], -ONE)},
     }
-    return {name: Element({Word(w): c for w, c in terms.items()}) for name, terms in identities.items()}
+
+
+def lemma_main_identities(n: int, k: int) -> dict[str, Element]:
+    """The identities of the main lemma at k: the Element view of `_lemma_main_terms`."""
+    return {name: Element({Word(w): c for w, c in terms.items()})
+            for name, terms in _lemma_main_terms(n, k, lambda g: g).items()}
 
 
 def check_lemma_main(p: Presentation, k: int) -> CheckReport:
     """The main lemma at k, proved in the algebra, so that it holds in every
-    *-representation.  Each element of `lemma_main_identities(n, k)` must
+    *-representation.  Each identity of `lemma_main_identities(n, k)` must
     normalize to 0 against p, with sphere reduction on; rewriting is a
     congruence (Bergman 1978), so each then lies in the ideal of the
     relations.  As a premise, y_(k-1) must exchange by a monomial scalar
@@ -280,12 +298,9 @@ def check_lemma_main(p: Presentation, k: int) -> CheckReport:
     if p.kind != "Sigma" or not p.sphere_reduction:
         raise DomainError("the main lemma is stated in the Sigma presentation with sphere reduction on")
     report = CheckReport("lemma_main", dict(_sym_params(p), k=k), tolerance=0.0)
-    for name, element in lemma_main_identities(p.n, k).items():
-        nf = normalize(element, p)
-        if not nf.is_zero():
-            residual = _element_guard_residual(nf)
-            report.max_residual = max(report.max_residual, residual)
-            report.witnesses.append({"identity": name, "normal_form": str(nf), "residual": residual})
+    fuel = _fuel()
+    for name, terms in _lemma_main_terms(p.n, k, p.rank.__getitem__).items():
+        _refute(report, p, terms, fuel, identity=name)
     if k > 1:
         g, rank = y(k - 1), p.rank
         report.witnesses += [{"premise": "scalar exchange", "generator": str(g), "letter": str(x)}
@@ -345,19 +360,26 @@ def check_confluence(p: Presentation) -> CheckReport:
     by Bergman every ambiguity resolves, for every middle m.
 
     The status is "proved", or "refuted" with witnesses; `overlaps` counts
-    the a b c overlaps resolved, with sphere reduction on those of `off`."""
+    the a b c overlaps resolved, with sphere reduction on those of `off`.
+    They are taken in `off.rules` order of the rule for a b, then of the
+    rule for b c, found by an index on left letters: the cost is the number
+    of overlaps, not of rule pairs.  Both reducts are rank-coded."""
     off = p if p.eliminated is None else (presentation_S if p.kind == "S" else presentation_Sigma)(p.n, False)
     report = CheckReport("confluence", _sym_params(p), tolerance=0.0)
-    overlaps = 0
-    abc = ((Word((a, b, c)), rhs * Element.of(c), Element.of(a) * rhs2)
-           for (a, b), rhs in off.rules.items() for (b2, c), rhs2 in off.rules.items() if b2 == b)
-    for overlaps, (word, left, right) in enumerate(abc, start=1):
-        nf_left, nf_right = normalize(left, off), normalize(right, off)
-        if nf_left != nf_right:
-            residual = _element_guard_residual(nf_left - nf_right)
-            report.max_residual = max(report.max_residual, residual)
-            report.witnesses.append({"overlap": str(word), "left": str(nf_left),
-                                     "right": str(nf_right), "residual": residual})
+    fuel, rules, overlaps, by_left = _fuel(), off._rank_rules, 0, {}
+    for (b, c), rhs in rules.items():  # the rules for b c by b, in the order of off.rules
+        by_left.setdefault(b, []).append((c, rhs))
+    for (a, b), rhs in rules.items():
+        for c, rhs2 in by_left.get(b, ()):
+            overlaps += 1
+            left = normalize_ranks({(*w, c): k for w, k in rhs}, off, fuel)[0]
+            right = normalize_ranks({(a, *w): k for w, k in rhs2}, off, fuel)[0]
+            if left != right:
+                nf_left, nf_right = off.element(left), off.element(right)
+                residual = _element_guard_residual(nf_left - nf_right)
+                report.max_residual = max(report.max_residual, residual)
+                report.witnesses.append({"overlap": str(off.word((a, b, c))), "left": str(nf_left),
+                                         "right": str(nf_right), "residual": residual})
     if off is not p:
         rank, witnesses = off.rank, report.witnesses
         pairs = {(a, b) for a, b in itertools.product(off.generators, repeat=2) if rank[a] > rank[b]}
@@ -368,11 +390,11 @@ def check_confluence(p: Presentation) -> CheckReport:
         witnesses += [{"premise": "graded", "rule": str(Word(lhs)), "word": str(w)}
                       for lhs, rhs in off.rules.items() for w in rhs.words() if len(w) != 2]
         big_c = dict(relations_S(p.n) if p.kind == "S" else relations_Sigma(p.n))["sphere"] + Element.one()
-        commutators = {g: normalize(big_c * Element.of(g) - Element.of(g) * big_c, off) for g in off.generators}
+        commutators = {g: normalize(big_c * Element.of(g) - Element.of(g) * big_c, off, fuel) for g in off.generators}
         witnesses += [{"premise": "C central", "generator": str(g), "normal_form": str(nf)}
                       for g, nf in commutators.items() if not nf.is_zero()]
-        c_minus_1 = normalize(big_c, off) - Element.one()
-        residues = {lhs: normalize(Element.of(*lhs) - rhs, off) for lhs, rhs in p.rules.items()}
+        c_minus_1 = normalize(big_c, off, fuel) - Element.one()
+        residues = {lhs: normalize(Element.of(*lhs) - rhs, off, fuel) for lhs, rhs in p.rules.items()}
         witnesses += [{"premise": "rule modulo C - 1", "rule": str(Word(lhs)), "normal_form": str(r)}
                       for lhs, r in residues.items() if r != c_minus_1 * -r.coeff(EMPTY_WORD)]
         estar, e, left, right, _ = p._sphere
@@ -530,14 +552,18 @@ _PROOFS = {"relations": check_relations_in_rep, "kernel": check_kernel_structure
            "basis": check_lowest_weight_basis}  # the representation proofs, which read only n
 
 
-def run_suite(suite: str, p: Presentation, params: dict | None = None, m_max: int = 5) -> list[CheckReport]:
+def run_suite(suite: str, p, params: dict | None = None, m_max: int = 5) -> list[CheckReport]:
     """Run one named suite (or all applicable ones) and return the reports.
+    p is the presentation or, for the kernel and basis suites, which read
+    only n, a (kind, n) pair, refused as a build past MAX_RULES would be.
     The representation reports carry params, from `rep_params`, whose mode
     is read here alone: "numeric" samples the relations on
     `sampled_config(params)`, and "exact" proves them.  With no params the
     relations are proved and those reports carry n alone."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    kind, n = p if isinstance(p, tuple) else (p.kind, p.n)
+    _require_size(kind, n)
     reports: list[CheckReport] = []
     wants = SUITES[1:] if suite == "all" else (suite,)
     for name in wants:
@@ -546,7 +572,7 @@ def run_suite(suite: str, p: Presentation, params: dict | None = None, m_max: in
             continue
         if name == "relations":
             reports.append(check_symbolic_relations(p))
-        if p.kind != "Sigma":
+        if kind != "Sigma":
             if name != "relations" and suite != "all":
                 raise DomainError(f"suite {name!r} needs the Sigma algebra")
             continue
@@ -557,7 +583,7 @@ def run_suite(suite: str, p: Presentation, params: dict | None = None, m_max: in
         elif name == "relations" and params and params["mode"] == "numeric":
             reports.append(sample_relations_in_rep(sampled_config(params)))
         else:
-            report = _PROOFS[name](p.n)
+            report = _PROOFS[name](n)
             report.params.update(params or {})
             reports.append(report)
     return reports

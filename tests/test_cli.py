@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,33 @@ class TestVerify:
         assert code == 0 and err == ""
         assert all(r["passed"] for r in json.loads(out))
 
+    @pytest.mark.parametrize("suite", ["kernel", "basis"])
+    def test_kernel_and_basis_build_no_presentation(self, suite, monkeypatch):
+        from qsphere import cli as cli_mod
+        from qsphere import verify as verify_mod
+        from qsphere.verify import rep_params, run_suite
+
+        argv = ["verify", "--suite", suite, "--n", "3", "--K", "4", "--format", "json"]
+        expected = json.dumps([r.to_json() for r in run_suite(suite, cli_mod.presentation_Sigma(3),
+                                                              rep_params(3, Fraction(1, 2), 1, 4, "numeric"))],
+                              sort_keys=True) + "\n"
+
+        def refuse(*args):
+            raise AssertionError("a presentation was built")
+
+        for module in (cli_mod, verify_mod):
+            monkeypatch.setattr(module, "presentation_S", refuse)
+            monkeypatch.setattr(module, "presentation_Sigma", refuse)
+        assert run_cli(argv) == (0, expected, "")
+        code, out, err = run_cli(["verify", "--suite", suite, "--n", "63", "--format", "json"])
+        assert code == 0 and err == "" and json.loads(out)[0]["passed"]
+        assert run_cli(["verify", "--algebra", "s", "--suite", suite, "--n", "2"]) == \
+            (2, "", f"error: suite '{suite}' needs the Sigma algebra\n")
+        assert run_cli(["verify", "--suite", suite, "--n", "64"]) == \
+            (2, "", "error: the Sigma presentation at n = 64 has 8386 rewrite rules, over the limit of 8192\n")
+        assert run_cli(["verify", "--algebra", "s", "--suite", suite, "--n", "33"]) == \
+            (2, "", "error: the S presentation at n = 33 has 8647 rewrite rules, over the limit of 8192\n")
+
     @pytest.mark.parametrize("argv", [
         ["normalize", "--n", "100000", "y1"],
         ["verify", "--n", "100000", "--K", "0", "--suite", "kernel"],
@@ -410,6 +438,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "QSPHERE_FUEL" in err
+
+    @pytest.mark.parametrize("suite", ["confluence", "lemma-aux"])
+    def test_bad_fuel_variable_fails_a_proof(self, monkeypatch, suite):
+        # the presentations are built first, so the check itself reads the variable
+        from qsphere import presentation_Sigma
+        presentation_Sigma(2), presentation_Sigma(2, False)
+        monkeypatch.setenv("QSPHERE_FUEL", "x")
+        code, out, err = run_cli(["verify", "--n", "2", "--suite", suite, "--format", "json"])
+        assert (code, out, err) == (2, "", "error: QSPHERE_FUEL must be an integer, got 'x'\n")
 
 
 class TestDeterminism:

@@ -21,6 +21,7 @@ from qsphere.algebra import (
     Presentation,
     Word,
     normalize,
+    normalize_ranks,
     presentation_S,
     presentation_Sigma,
     relations_S,
@@ -69,6 +70,11 @@ def _with_rule(p, lhs, edit):
     return Presentation(p.kind, p.n, p.sphere_reduction, p.generators, rules, p.eliminated)
 
 
+def _coded(e, code):
+    """The terms of an element as {letters: coefficient}, each letter code(generator)."""
+    return {tuple(map(code, w.letters)): c for w, c in e.terms()}
+
+
 class TestSymbolicRelations:
     @pytest.mark.parametrize("kind,n,sphere", [
         ("Sigma", 1, True), ("Sigma", 3, True),
@@ -85,6 +91,35 @@ class TestSymbolicRelations:
         data = report.to_json()
         assert set(data) == {"check", "params", "max_residual", "passed", "witnesses"}
         assert data["passed"] is True
+
+
+def _pairwise_overlaps(p):
+    """The overlap resolution that check_confluence ran before it indexed the
+    rules by left letter, kept as its oracle: it scans every pair of rules
+    of the sphere-off sibling (the one check_confluence reads) for an a b c
+    overlap, builds both reducts as Element products and normalizes them.
+    Returns the number of overlaps and the witnesses, in scan order."""
+    off = p if p.eliminated is None else (verify_mod.presentation_S if p.kind == "S"
+                                          else verify_mod.presentation_Sigma)(p.n, False)
+    overlaps, witnesses = 0, []
+    abc = ((Word((a, b, c)), rhs * Element.of(c), Element.of(a) * rhs2)
+           for (a, b), rhs in off.rules.items() for (b2, c), rhs2 in off.rules.items() if b2 == b)
+    for overlaps, (word, left, right) in enumerate(abc, start=1):
+        nf_left, nf_right = normalize(left, off), normalize(right, off)
+        if nf_left != nf_right:
+            witnesses.append({"overlap": str(word), "left": str(nf_left), "right": str(nf_right),
+                              "residual": verify_mod._element_guard_residual(nf_left - nf_right)})
+    return overlaps, witnesses
+
+
+def _matches_pairwise_oracle(report, p):
+    """The report's overlap count and overlap witnesses, which come before
+    every premise witness, are the oracle's; so is its residual."""
+    overlaps, witnesses = _pairwise_overlaps(p)
+    assert report.params["overlaps"] == overlaps
+    assert report.witnesses[:len(witnesses)] == witnesses
+    assert all("premise" in w for w in report.witnesses[len(witnesses):])
+    assert report.max_residual == max((w["residual"] for w in witnesses), default=0.0)
 
 
 def _scattered_overlaps(p, middle_max):
@@ -145,6 +180,15 @@ class TestConfluence:
         # with sphere reduction on, the overlaps resolved are the sibling's
         assert report.params["overlaps"] == check_confluence(build(2, False)).params["overlaps"]
 
+    @pytest.mark.parametrize("build,n", [*itertools.product((presentation_S, presentation_Sigma), (1, 2, 3)),
+                                         (presentation_S, 8)])
+    @pytest.mark.parametrize("sphere", [True, False])
+    def test_indexed_overlaps_match_the_pairwise_scan(self, build, n, sphere):
+        p = build(n, sphere)
+        report = check_confluence(p)
+        assert report.params["status"] == "proved" and report.witnesses == []
+        _matches_pairwise_oracle(report, p)
+
     def test_perturbed_rule_fails_with_witness(self):
         lhs = (y(3), y(2))
         p = _with_rule(presentation_Sigma(2, sphere_reduction=False), lhs,
@@ -157,6 +201,14 @@ class TestConfluence:
         assert set(witness) == {"overlap", "left", "right", "residual"}
         assert witness["left"] != witness["right"]
         assert "y3y2y2'" in [w["overlap"] for w in report.witnesses]
+        _matches_pairwise_oracle(report, p)
+
+    def test_rule_broken_on_several_overlaps_keeps_the_scan_order(self):
+        # y1' y1 added to the rule for y3 y2 breaks y3 y2 c for several c
+        p = _with_rule(presentation_Sigma(2, False), (y(3), y(2)), lambda rhs: rhs + Element.of(y(1, True), y(1)))
+        report = check_confluence(p)
+        assert [w["overlap"] for w in report.witnesses][2:5] == ["y3y2y1", "y3y2y3'", "y3y2y2'"]
+        _matches_pairwise_oracle(report, p)
 
     def test_scattered_step_with_a_long_middle_is_checked(self):
         # A scattered step that is wrong only when two letters sit between
@@ -189,6 +241,7 @@ class TestConfluence:
         dropped = Presentation(p.kind, p.n, p.sphere_reduction, p.generators,
                                {k: v for k, v in p.rules.items() if k != (y(2), y(1))}, p.eliminated)
         report = check_confluence(dropped)
+        _matches_pairwise_oracle(report, dropped)
         assert report.params["status"] == "refuted"
         assert report.witnesses == [{"premise": "rule pairs", "sphere": "on", "pair": "y2y1",
                                      "rule": "missing"}]
@@ -199,6 +252,7 @@ class TestConfluence:
         monkeypatch.setattr(verify_mod, "presentation_Sigma",
                             lambda n, sphere=True: build(n, sphere) if sphere else off)
         report = check_confluence(presentation_Sigma(1))
+        _matches_pairwise_oracle(report, presentation_Sigma(1))
         assert report.params["status"] == "refuted"
         assert {"premise": "graded", "rule": "y2y1", "word": "y1"} in report.witnesses
 
@@ -219,19 +273,23 @@ class TestConfluence:
         p = _with_rule(presentation_Sigma(2), (y(3), y(2)),
                        lambda rhs: rhs + Element.of(y(2), y(3), coeff=LaurentPoly.q(1)))
         report = check_confluence(p)
+        _matches_pairwise_oracle(report, p)
         assert report.params["status"] == "refuted"
         assert report.witnesses == [{"premise": "rule modulo C - 1", "rule": "y3y2",
                                      "normal_form": "(-q)*y2y3"}]
 
     def test_doubled_sphere_rule_is_refuted(self):
         p = presentation_Sigma(2)
-        report = check_confluence(_with_rule(p, p.eliminated, lambda rhs: rhs * 2))
+        doubled = _with_rule(p, p.eliminated, lambda rhs: rhs * 2)
+        report = check_confluence(doubled)
+        _matches_pairwise_oracle(report, doubled)
         assert [(w["premise"], w["rule"]) for w in report.witnesses] == [("rule modulo C - 1", "y3'y3")]
 
     def test_lost_exchange_scalar_refutes_the_greedy_split(self):
         # x2 exchanges with y2' by a scalar no longer, and never did with y2
         p = _with_rule(presentation_S(2), (x(2), y(2, True)), lambda rhs: rhs + Element.of(x(1, True), x(1)))
         report = check_confluence(p)
+        _matches_pairwise_oracle(report, p)
         assert report.params["status"] == "refuted"
         assert {"premise": "greedy split", "middle": "x2"} in report.witnesses
 
@@ -285,11 +343,11 @@ class TestLemmaAux:
     def test_normalizes_only_the_first_two_powers(self, n, monkeypatch):
         calls = []
 
-        def counted(e, p):
-            calls.append(e)
-            return normalize(e, p)
+        def counted(terms, p, fuel):
+            calls.append(terms)
+            return normalize_ranks(terms, p, fuel)
 
-        monkeypatch.setattr(verify_mod, "normalize", counted)
+        monkeypatch.setattr(verify_mod, "normalize_ranks", counted)
         p = presentation_Sigma(n)
         for m_max, expected in ((1, n), (2, 2 * n), (12, 2 * n), (10**6, 2 * n)):
             calls.clear()
@@ -300,6 +358,13 @@ class TestLemmaAux:
 
 def _tail(i):
     return Element.one() - sum((Element.of(y(k, True), y(k)) for k in range(1, i)), Element.zero())
+
+
+def _turn_knobs(monkeypatch, **knobs):
+    """Make the identity description that check_lemma_aux reads
+    _power_identity with the knobs turned, coded letter by letter."""
+    monkeypatch.setattr(verify_mod, "_lemma_aux_terms",
+                        lambda n, i, m, code: _coded(_power_identity(n, i, m, **knobs), code))
 
 
 def _power_identity(n, i, m, step=None, tail=True, tail_m=None):
@@ -320,8 +385,7 @@ class TestLemmaAuxMutations:
 
     @staticmethod
     def failing(monkeypatch, n, m_max, **knobs):
-        monkeypatch.setattr(verify_mod, "lemma_aux_identity",
-                            lambda n, i, m: _power_identity(n, i, m, **knobs))
+        _turn_knobs(monkeypatch, **knobs)
         report = check_lemma_aux(presentation_Sigma(n), m_max)
         assert all(w["residual"] > 0 for w in report.witnesses)
         return [(w["i"], w["m"]) for w in report.witnesses]
@@ -424,14 +488,16 @@ class TestLemmaMain:
 
 
 def _restated(monkeypatch, name, extra):
-    """check_lemma_main reads the identity `name` plus extra(n, k)."""
-    real = lemma_main_identities
+    """check_lemma_main reads the identity `name` plus extra(n, k), through
+    the single identity description."""
+    real = verify_mod._lemma_main_terms
 
-    def restated(n, k):
-        identities = real(n, k)
-        return {**identities, name: identities[name] + extra(n, k)}
+    def restated(n, k, code):
+        identities = real(n, k, code)
+        edited = Element({Word(w): c for w, c in real(n, k, lambda g: g)[name].items()}) + extra(n, k)
+        return {**identities, name: _coded(edited, code)}
 
-    monkeypatch.setattr(verify_mod, "lemma_main_identities", restated)
+    monkeypatch.setattr(verify_mod, "_lemma_main_terms", restated)
 
 
 def _failures(n):
@@ -1185,28 +1251,34 @@ class TestStatementCaches:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_a_second_call_repeats_the_work(self, n, monkeypatch):
-        normalized, imaged = [], []
+        normalized, ranked, imaged = [], [], []
 
         def counted_normalize(e, p):
             normalized.append(e)
             return normalize(e, p)
+
+        def counted_ranks(terms, p, fuel):
+            ranked.append(terms)
+            return normalize_ranks(terms, p, fuel)
 
         def counted_image(e, n):
             imaged.append(e)
             return rep_mod.generic_image(e, n)
 
         monkeypatch.setattr(verify_mod, "normalize", counted_normalize)
+        monkeypatch.setattr(verify_mod, "normalize_ranks", counted_ranks)
         monkeypatch.setattr(verify_mod, "generic_image", counted_image)
+        code = presentation_Sigma(n).rank.__getitem__
         raw = [rel for name, rel in relations_S(n) if not name.startswith("sphere")]
         checks = [
             (lambda: check_symbolic_relations(presentation_Sigma(n)), normalized,
              [rel for _, rel in relations_Sigma(n)]),
             (lambda: check_symbolic_relations(presentation_S(n, False)), normalized, raw),
             (lambda: check_relations_in_rep(n).witnesses, imaged, [rel for _, rel in relations_Sigma(n)]),
-            (lambda: check_lemma_aux(presentation_Sigma(n), 5), normalized,
-             [lemma_aux_identity(n, i, m) for i in range(1, n + 1) for m in (1, 2)]),
-            (lambda: run_suite("lemma-main", presentation_Sigma(n), None), normalized,
-             [e for k in range(1, n + 1) for e in lemma_main_identities(n, k).values()]),
+            (lambda: check_lemma_aux(presentation_Sigma(n), 5), ranked,
+             [_coded(lemma_aux_identity(n, i, m), code) for i in range(1, n + 1) for m in (1, 2)]),
+            (lambda: run_suite("lemma-main", presentation_Sigma(n), None), ranked,
+             [_coded(e, code) for k in range(1, n + 1) for e in lemma_main_identities(n, k).values()]),
         ]
         for check, calls, work in checks:
             results = []
@@ -1249,8 +1321,7 @@ class TestWarmCachesCannotMaskMutations:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lemma_aux_knob(self, monkeypatch, knobs, expected, n):
         self.warm(n)
-        monkeypatch.setattr(verify_mod, "lemma_aux_identity",
-                            lambda n, i, m: _power_identity(n, i, m, **knobs))
+        _turn_knobs(monkeypatch, **knobs)
         warm = check_lemma_aux(presentation_Sigma(n), 5).witnesses
         _cold()
         assert warm == check_lemma_aux(presentation_Sigma(n), 5).witnesses
