@@ -23,7 +23,7 @@ from .algebra import (
 from .expr import ExprSyntaxError, parse, print_canonical
 from .rep import RepConfig, _fmt, apply_element, basis_state, matrix, matrix_json, yn1_spectrum
 from .scalar import DomainError
-from .verify import SUITES, rep_params, run_suite, sampled_config
+from .verify import SUITES, rep_params, run_suite
 
 
 def _parse_q(text: str) -> Fraction:
@@ -76,13 +76,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # every representation flag is checked before the presentation is built, and
-    # so is the size of the one truncation that is built: the numeric sampler's
+    # every representation flag is checked before run_suite builds anything
     params = rep_params(args.n, _parse_q(args.q), _parse_lambda(args.lam), args.K, args.mode)
-    if args.algebra == "sigma" and args.mode == "numeric" and args.suite in ("relations", "all"):
-        sampled_config(params)
-    n_only = ("S" if args.algebra == "s" else "Sigma", args.n)  # all that the kernel and basis proofs read
-    reports = run_suite(args.suite, n_only if args.suite in ("kernel", "basis") else _presentation(args), params)
+    reports = run_suite(args.suite, "S" if args.algebra == "s" else "Sigma", args.n, args.sphere == "on", params)
     if args.format == "json":
         print(json.dumps([r.to_json() for r in reports], indent=None, sort_keys=True))
     else:

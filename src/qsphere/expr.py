@@ -151,6 +151,8 @@ class _Parser:
     def parse_primary(self) -> Element:
         tok = self.next()
         if tok.kind == "num":
+            if "/" in tok.text and not int(tok.text.split("/")[1]):
+                raise ExprSyntaxError(f"zero denominator in {tok.text}", tok.span)
             return Element.one() * LaurentPoly.const(Fraction(tok.text))
         if tok.kind == "q":
             exp = 1

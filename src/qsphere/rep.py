@@ -236,6 +236,17 @@ def _lam_power(c: RepConfig, power: int) -> complex:
     return complex(1) if not power else c.lam if power > 0 else c.lam.conjugate()
 
 
+def _power_table(q: Fraction, count: int, root: bool = False) -> list[float]:
+    """[float(q^e) for e in range(count)], or with root [sqrt(float(1 - q^e)) ..],
+    from one running exact product that stops at the first entry equal to its
+    limit, 0.0 (1.0 with root): entries are monotone in e, so the rest are too."""
+    a, b, num, den, limit, table = q.numerator, q.denominator, 1, 1, 1.0 if root else 0.0, []
+    while len(table) < count and (not table or table[-1] != limit):
+        table.append(math.sqrt((den - num) / den) if root else num / den)
+        num, den = num * a, den * b
+    return table + [limit] * (count - len(table))
+
+
 @lru_cache(maxsize=16)
 def shift_table(c: RepConfig, g: Generator):
     """(target, amp) arrays for one generator, cached for the last few
@@ -247,10 +258,9 @@ def shift_table(c: RepConfig, g: Generator):
     alive = (ki + s.move >= 0) & (ki + s.move <= c.K)
     target = np.where(alive, ranks + s.move * (c.K + 1) ** (c.n - 1 - s.slot), ranks)
     exps = k @ np.array(s.prefix)
-    powers = np.array([float(c.q0 ** e) for e in range(int(exps.max()) + 1)])
-    scale = powers[exps]
+    scale = np.array(_power_table(c.q0, int(exps.max()) + 1))[exps]
     if s.step:
-        roots = np.array([math.sqrt(float(1 - c.q0 ** (s.step * r))) for r in range(c.K + 2)])
+        roots = np.array(_power_table(c.q0 ** s.step, c.K + 2, root=True))
         scale = np.where(alive, scale * roots[ki + s.offset], 0.0)
     lam = _lam_power(c, s.power)
     amp = np.empty(c.dim, dtype=complex)
@@ -325,11 +335,11 @@ def matrix(e: Element, c: RepConfig) -> SparseMatrix:
 
 def yn1_spectrum(c: RepConfig) -> list[complex]:
     """The diagonal of y_{n+1} in rank order, read from its `generator_shift`:
-    lambda^power q0^(prefix . k) at each index k, from a table of the powers
-    of q0 as in `shift_table`."""
+    lambda^power q0^(prefix . k) at each index k, from the table of powers
+    of q0 that `shift_table` reads."""
     s = generator_shift(c.n, y(c.n + 1))
     lam = _lam_power(c, s.power)
-    powers = [float(c.q0 ** e) for e in range(sum(s.prefix) * c.K + 1)]
+    powers = _power_table(c.q0, sum(s.prefix) * c.K + 1)
     exps = map(sum, product(*([w * ki for ki in range(c.K + 1)] for w in s.prefix)))  # rank order
     return [lam * powers[e] for e in exps]
 

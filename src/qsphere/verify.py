@@ -11,10 +11,10 @@ The kernel, basis and relations proofs read only n: each demands of the
 generic image of single generators, or of each relation, what its
 argument rests on.  `lemma_main`, like `lemma_aux`, is a proof in the
 algebra: it reads no representation, so it holds in every
-*-representation.  The mode is read in `run_suite` alone: exact mode
-proves the relations, and numeric mode samples them on the truncation at
-K, q0 and lambda (`sample_relations_in_rep`), the one `rep.RepConfig`
-built here and the only check that builds a table or runs numpy.
+*-representation.  `run_suite` alone decides what each suite reads, and
+the mode: exact mode proves the relations, and numeric mode samples them on
+the truncation (`sample_relations_in_rep`), the one `rep.RepConfig` built
+here and the only check that builds a table or runs numpy.
 
 The relations proof reads generic images.  On a generic basis vector
 |k> of the untruncated space, with t_i = q^(k_i), each generator maps |k>
@@ -143,12 +143,6 @@ def rep_params(n: int, q0, lam, K: int, mode: str) -> dict:
             "lambda": [lam.real, lam.imag], "mode": mode}
 
 
-def sampled_config(params: dict) -> RepConfig:
-    """The truncation that the numeric relations sampler reads at
-    `rep_params` params, refused past rep.MAX_DIM basis vectors."""
-    return RepConfig(params["n"], Fraction(params["q0"]), complex(*params["lambda"]), params["K"])
-
-
 # -- symbolic checks ---------------------------------------------------------
 
 
@@ -156,11 +150,11 @@ def check_symbolic_relations(p: Presentation) -> CheckReport:
     """Every defining relation (and star conjugate) realized by the
     presentation must normalize to the zero element."""
     relations = relations_S(p.n) if p.kind == "S" else relations_Sigma(p.n)
-    report = CheckReport("symbolic_relations", _sym_params(p), tolerance=0.0)
+    report, fuel = CheckReport("symbolic_relations", _sym_params(p), tolerance=0.0), _fuel()
     for name, rel in relations:
         if name.startswith("sphere") and not p.sphere_reduction:
             continue
-        nf = normalize(rel, p)
+        nf = normalize(rel, p, fuel)
         if not nf.is_zero():
             residual = _element_guard_residual(nf)
             report.max_residual = max(report.max_residual, residual)
@@ -169,14 +163,14 @@ def check_symbolic_relations(p: Presentation) -> CheckReport:
     return report
 
 
-def _lemma_aux_terms(n: int, i: int, m: int, code) -> dict[tuple, LaurentPoly]:
+def _lemma_aux_terms(p: Presentation, i: int, m: int) -> dict[tuple, LaurentPoly]:
     """LHS - RHS of the lowering/raising power identity
 
         y_i (y_i*)^m - q^(2m) (y_i*)^m y_i
                      - (1 - q^(2m)) (y_i*)^(m-1) (1 - sum_{k<i} y_k* y_k)
 
     with exponents 4m in place of 2m when i = n, written out in closed
-    form as {letters: coefficient}, each letter code(generator).  With
+    form as {ranks: coefficient}, each letter coded by its rank in p.  With
     Y = y_i*, s the step and c = q^(sm), its terms are
 
         y_i Y^m                      coefficient 1
@@ -185,21 +179,16 @@ def _lemma_aux_terms(n: int, i: int, m: int, code) -> dict[tuple, LaurentPoly]:
         Y^(m-1) y_k* y_k, each k < i coefficient 1 - c
 
     and these words are pairwise distinct, so no two terms combine."""
-    if not 1 <= i <= n:
+    if not 1 <= i <= p.n:
         raise DomainError("i must lie in 1..n")
     if m < 1:
         raise DomainError("m must be >= 1")
-    ys, yi, c = code(y(i, True)), code(y(i)), Q((4 if i == n else 2) * m)
+    ys, yi, c = p.rank[y(i, True)], p.rank[y(i)], Q((4 if i == p.n else 2) * m)
     low = (ys,) * (m - 1)  # the letters of Y^(m-1)
     terms = {(yi, *low, ys): ONE, (*low, ys, yi): -c, low: c - ONE}
     for k in range(1, i):
-        terms[(*low, code(y(k, True)), code(y(k)))] = ONE - c
+        terms[(*low, p.rank[y(k, True)], p.rank[y(k)])] = ONE - c
     return terms
-
-
-def lemma_aux_identity(n: int, i: int, m: int) -> Element:
-    """The power identity I_m at i: the Element view of `_lemma_aux_terms`."""
-    return Element({Word(w): c for w, c in _lemma_aux_terms(n, i, m, lambda g: g).items()})
 
 
 def _refute(report: CheckReport, p: Presentation, terms, fuel: int, **names):
@@ -212,7 +201,7 @@ def _refute(report: CheckReport, p: Presentation, terms, fuel: int, **names):
 
 
 def check_lemma_aux(p: Presentation, m_max: int) -> CheckReport:
-    """The power identities I_m = lemma_aux_identity(n, i, m) must hold for
+    """The power identities I_m of `_lemma_aux_terms` must hold for
     all i and every m >= 1, or for m = 1 alone when m_max = 1; they are
     stated against the unit sphere, so reduction must be on.
 
@@ -235,16 +224,16 @@ def check_lemma_aux(p: Presentation, m_max: int) -> CheckReport:
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
     report = CheckReport("lemma_aux", dict(_sym_params(p), m_max=m_max), tolerance=0.0)
-    fuel, code = _fuel(), p.rank.__getitem__
+    fuel = _fuel()
     for i in range(1, p.n + 1):
         for m in range(1, min(m_max, 2) + 1):
-            _refute(report, p, _lemma_aux_terms(p.n, i, m, code), fuel, i=i, m=m)
+            _refute(report, p, _lemma_aux_terms(p, i, m), fuel, i=i, m=m)
     return report
 
 
-def _lemma_main_terms(n: int, k: int, code) -> dict[str, dict[tuple, LaurentPoly]]:
+def _lemma_main_terms(p: Presentation, k: int) -> dict[str, dict[tuple, LaurentPoly]]:
     """The identities of the main lemma at k, each 0 in the algebra, as
-    {letters: coefficient}, each letter code(generator).  With A = sum_{i>k}
+    {ranks: coefficient}, each letter coded by its rank in p.  With A = sum_{i>k}
     y_i* y_i, B = y_k and mu = q^s, s = 4 if k = n and 2 otherwise:
 
         commutator  BB* - B*B - (1 - mu) A            relation diag[k]
@@ -253,10 +242,10 @@ def _lemma_main_terms(n: int, k: int, code) -> dict[str, dict[tuple, LaurentPoly
 
     They are written term by term: the words of each are pairwise distinct,
     so no two terms combine."""
-    if not 1 <= k <= n:
+    if not 1 <= k <= p.n:
         raise DomainError("k must lie in 1..n")
-    pairs = [(code(y(i, True)), code(y(i))) for i in range(1, n + 2)]  # the words y_i* y_i
-    (bs, b), a, mu = pairs[k - 1], pairs[k:], Q(4 if k == n else 2)
+    pairs = [(p.rank[y(i, True)], p.rank[y(i)]) for i in range(1, p.n + 2)]  # the words y_i* y_i
+    (bs, b), a, mu = pairs[k - 1], pairs[k:], Q(4 if k == p.n else 2)
     return {
         "commutator": {(b, bs): ONE, (bs, b): -ONE, **dict.fromkeys(a, mu - ONE)},
         "sphere": {**dict.fromkeys(pairs, ONE), (): -ONE},
@@ -264,15 +253,9 @@ def _lemma_main_terms(n: int, k: int, code) -> dict[str, dict[tuple, LaurentPoly
     }
 
 
-def lemma_main_identities(n: int, k: int) -> dict[str, Element]:
-    """The identities of the main lemma at k: the Element view of `_lemma_main_terms`."""
-    return {name: Element({Word(w): c for w, c in terms.items()})
-            for name, terms in _lemma_main_terms(n, k, lambda g: g).items()}
-
-
 def check_lemma_main(p: Presentation, k: int) -> CheckReport:
     """The main lemma at k, proved in the algebra, so that it holds in every
-    *-representation.  Each identity of `lemma_main_identities(n, k)` must
+    *-representation.  Each identity of `_lemma_main_terms(p, k)` must
     normalize to 0 against p, with sphere reduction on; rewriting is a
     congruence (Bergman 1978), so each then lies in the ideal of the
     relations.  As a premise, y_(k-1) must exchange by a monomial scalar
@@ -299,7 +282,7 @@ def check_lemma_main(p: Presentation, k: int) -> CheckReport:
         raise DomainError("the main lemma is stated in the Sigma presentation with sphere reduction on")
     report = CheckReport("lemma_main", dict(_sym_params(p), k=k), tolerance=0.0)
     fuel = _fuel()
-    for name, terms in _lemma_main_terms(p.n, k, p.rank.__getitem__).items():
+    for name, terms in _lemma_main_terms(p, k).items():
         _refute(report, p, terms, fuel, identity=name)
     if k > 1:
         g, rank = y(k - 1), p.rank
@@ -552,36 +535,39 @@ _PROOFS = {"relations": check_relations_in_rep, "kernel": check_kernel_structure
            "basis": check_lowest_weight_basis}  # the representation proofs, which read only n
 
 
-def run_suite(suite: str, p, params: dict | None = None, m_max: int = 5) -> list[CheckReport]:
-    """Run one named suite (or all applicable ones) and return the reports.
-    p is the presentation or, for the kernel and basis suites, which read
-    only n, a (kind, n) pair, refused as a build past MAX_RULES would be.
-    The representation reports carry params, from `rep_params`, whose mode
-    is read here alone: "numeric" samples the relations on
-    `sampled_config(params)`, and "exact" proves them.  With no params the
-    relations are proved and those reports carry n alone."""
+def run_suite(suite: str, kind: str, n: int, sphere: bool = True,
+              params: dict | None = None) -> list[CheckReport]:
+    """The reports of one named suite (or all applicable ones) on kind "S" or
+    "Sigma" at rank n.  Only here is it decided what a suite reads: relations
+    and confluence the presentation at sphere, the lemma suites the sphere-on
+    Sigma one (lemma-aux at m_max = 5), kernel and basis n alone; all but
+    relations and confluence need Sigma.  The representation reports carry
+    params (`rep_params`): mode "numeric" samples the relations on the
+    truncation, refused past rep.MAX_DIM before n past MAX_RULES is; "exact",
+    or no params (the reports then carry n alone), proves them."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    kind, n = p if isinstance(p, tuple) else (p.kind, p.n)
+    wants = SUITES[1:] if suite == "all" else (suite,)
+    numeric = kind == "Sigma" and "relations" in wants and params and params["mode"] == "numeric"
+    sampled = RepConfig(n, Fraction(params["q0"]), complex(*params["lambda"]), params["K"]) if numeric else None
     _require_size(kind, n)
     reports: list[CheckReport] = []
-    wants = SUITES[1:] if suite == "all" else (suite,)
     for name in wants:
-        if name == "confluence":
-            reports.append(check_confluence(p))
-            continue
-        if name == "relations":
-            reports.append(check_symbolic_relations(p))
-        if kind != "Sigma":
-            if name != "relations" and suite != "all":
+        if name in ("relations", "confluence"):
+            p = (presentation_S if kind == "S" else presentation_Sigma)(n, sphere)
+            reports.append(check_confluence(p) if name == "confluence" else check_symbolic_relations(p))
+            if name == "confluence" or kind != "Sigma":
+                continue
+        elif kind != "Sigma":
+            if suite != "all":
                 raise DomainError(f"suite {name!r} needs the Sigma algebra")
             continue
         if name in ("lemma-aux", "lemma-main"):  # these read no representation
-            on = p if p.sphere_reduction else presentation_Sigma(p.n)
-            reports += ([check_lemma_aux(on, m_max)] if name == "lemma-aux"
-                        else [check_lemma_main(on, k) for k in range(1, p.n + 1)])
-        elif name == "relations" and params and params["mode"] == "numeric":
-            reports.append(sample_relations_in_rep(sampled_config(params)))
+            on = presentation_Sigma(n)
+            reports += ([check_lemma_aux(on, 5)] if name == "lemma-aux"
+                        else [check_lemma_main(on, k) for k in range(1, n + 1)])
+        elif name == "relations" and sampled is not None:
+            reports.append(sample_relations_in_rep(sampled))
         else:
             report = _PROOFS[name](n)
             report.params.update(params or {})

@@ -367,6 +367,15 @@ class TestSizeLimit:
                 call()
 
 
+def _monomial_multiple(e, f):
+    """Whether e = c f for a monomial c = a q^k, a != 0."""
+    if f.is_zero() or set(e.words()) != set(f.words()):
+        return False
+    word = next(iter(f.words()))
+    a, b = e.coeff(word), f.coeff(word)
+    return a.as_monomial() is not None and b.as_monomial() is not None and f * (a * b.monomial_inverse()) == e
+
+
 class TestQuotient:
     def test_small_x_dies(self):
         assert quotient_map(Element.of(x(1)), 2).is_zero()
@@ -387,7 +396,7 @@ class TestQuotient:
         # y2y3 equals q^2 * y3y2 via the index-exchange relation
         assert lhs == normalize(Element.of(y(3), y(2), coeff=Q(2)), p_sig)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("sphere", [True, False])
     def test_relations_of_s_vanish_in_sigma(self, n, sphere):
         p = presentation_Sigma(n, sphere)
@@ -396,6 +405,14 @@ class TestQuotient:
                 continue
             nf = normalize(quotient_map(rel, n), p)
             assert nf.is_zero(), f"{name} maps to {nf}"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_relations_of_sigma_are_images_of_s_relations(self, n):
+        # with the test above: the ideal of the Sigma relations is the image of
+        # the ideal of the S relations, so Sigma is the quotient of S by x_1..x_(n-1)
+        images = [quotient_map(rel, n) for _, rel in relations_S(n)]
+        for name, rel in relations_Sigma(n):
+            assert any(_monomial_multiple(rel, image) for image in images), name
 
     def test_star_commutes_with_quotient(self):
         rng = random.Random(41)

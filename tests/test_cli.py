@@ -60,6 +60,16 @@ class TestNormalize:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("expr,span", [("1/0 y1", "0..3"), ("0/0 y1", "0..3"), ("y1 + 2/00", "5..9")])
+    def test_zero_denominator_exits_2_without_a_traceback(self, expr, span):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "qsphere.cli", "normalize", expr], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: zero denominator") and f"(at {span})" in proc.stderr
+
     def test_unknown_generator_exit_2(self):
         code, _, err = run_cli(["normalize", "--n", "1", "y9"])
         assert code == 2
@@ -172,12 +182,12 @@ class TestVerify:
         assert all(r["passed"] for r in reports)
 
     def test_oversized_truncation_is_refused_before_the_presentation(self, monkeypatch):
-        from qsphere import cli as cli_mod
+        from qsphere import verify as verify_mod
 
         def no_build(*args):
             raise AssertionError("the presentation was built for a refused size")
 
-        monkeypatch.setattr(cli_mod, "presentation_Sigma", no_build)
+        monkeypatch.setattr(verify_mod, "presentation_Sigma", no_build)
         code, out, err = run_cli(["verify", "--n", "120", "--K", "6"])
         assert code == 2 and out == ""
         assert "(K+1)^n = 7^120 basis vectors exceed" in err
@@ -250,8 +260,8 @@ class TestVerify:
         from qsphere.verify import rep_params, run_suite
 
         argv = ["verify", "--suite", suite, "--n", "3", "--K", "4", "--format", "json"]
-        expected = json.dumps([r.to_json() for r in run_suite(suite, cli_mod.presentation_Sigma(3),
-                                                              rep_params(3, Fraction(1, 2), 1, 4, "numeric"))],
+        expected = json.dumps([r.to_json() for r in run_suite(suite, "Sigma", 3,
+                                                              params=rep_params(3, Fraction(1, 2), 1, 4, "numeric"))],
                               sort_keys=True) + "\n"
 
         def refuse(*args):
@@ -269,6 +279,22 @@ class TestVerify:
             (2, "", "error: the Sigma presentation at n = 64 has 8386 rewrite rules, over the limit of 8192\n")
         assert run_cli(["verify", "--algebra", "s", "--suite", suite, "--n", "33"]) == \
             (2, "", "error: the S presentation at n = 33 has 8647 rewrite rules, over the limit of 8192\n")
+
+    @pytest.mark.parametrize("suite", ["lemma-aux", "lemma-main"])
+    def test_lemma_suites_build_no_sphere_off_presentation(self, suite, monkeypatch):
+        from qsphere import algebra as algebra_mod
+        from qsphere import verify as verify_mod
+
+        expected = run_cli(["verify", "--suite", suite, "--n", "3", "--format", "json"])
+        assert expected[0] == 0
+
+        def build(n, sphere_reduction=True):
+            if not sphere_reduction:
+                raise AssertionError("a sphere-off presentation was built")
+            return algebra_mod.presentation_Sigma(n)
+
+        monkeypatch.setattr(verify_mod, "presentation_Sigma", build)
+        assert run_cli(["verify", "--suite", suite, "--sphere", "off", "--n", "3", "--format", "json"]) == expected
 
     @pytest.mark.parametrize("argv", [
         ["normalize", "--n", "100000", "y1"],
@@ -368,12 +394,14 @@ class TestVerifyChecksEveryFlag:
     @pytest.mark.parametrize("suite", [*SUITES, "s relations", "s confluence"])
     def test_bad_flag_exits_2_before_anything_is_built(self, suite, flags, message, monkeypatch):
         from qsphere import cli as cli_mod
+        from qsphere import verify as verify_mod
 
         def no_build(*args):
             raise AssertionError("a presentation was built")
 
-        monkeypatch.setattr(cli_mod, "presentation_Sigma", no_build)
-        monkeypatch.setattr(cli_mod, "presentation_S", no_build)
+        for module in (cli_mod, verify_mod):
+            monkeypatch.setattr(module, "presentation_Sigma", no_build)
+            monkeypatch.setattr(module, "presentation_S", no_build)
         algebra = ["--algebra", "s"] if suite.startswith("s ") else []
         code, out, err = run_cli(["verify", "--n", "2", *algebra, "--suite", suite.split()[-1], *flags])
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -422,7 +450,7 @@ class TestExitCodes:
         from qsphere import cli as cli_mod
         from qsphere.verify import CheckReport
 
-        def fake_run_suite(suite, p, c, m_max=5):
+        def fake_run_suite(*args, **kwargs):
             return [CheckReport("stub", {}, tolerance=0.0, max_residual=1.0,
                                 witnesses=[{"bad": True}])]
 

@@ -69,6 +69,14 @@ class TestParse:
     def test_rational_scalars(self):
         assert parse("3/2 y1", SIGMA2) == Element.of(y(1), coeff=LaurentPoly.const(Fraction(3, 2)))
 
+    @pytest.mark.parametrize("text,span", [("1/0 y1", (0, 3)), ("0/0 y1", (0, 3)), ("y1 - 7/000 y2", (5, 10))])
+    def test_zero_denominator_span(self, text, span):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text, SIGMA2)
+        assert err.value.message == f"zero denominator in {text[slice(*span)]}"
+        assert err.value.span == SourceSpan(*span)
+        assert str(err.value).endswith(f"(at {span[0]}..{span[1]})")
+
     def test_syntax_error_span(self):
         with pytest.raises(ExprSyntaxError) as err:
             parse("y1 + @", SIGMA2)

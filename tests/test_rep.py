@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -285,6 +286,31 @@ class TestSpectrum:
             prefix = rep_mod.generator_shift(n, y(n + 1)).prefix
             want = [c.lam * float(q0 ** sum(w * ki for w, ki in zip(prefix, k))) for k in fock_indices(c)]
             assert repr(yn1_spectrum(c)) == repr(want)
+
+    @pytest.mark.parametrize("q0", [HALF, Fraction(3, 5), Fraction(99, 100)])
+    def test_power_tables_match_the_per_exponent_formula(self, q0):
+        # the tables that yn1_spectrum and shift_table read: the powers of q0 and the
+        # roots at steps 2 and 4, each cut where an entry first reaches its limit (0.0,
+        # or 1.0 for the roots); at 99/100 the powers reach 0.0 only at e = 74 141
+        count = 3000
+        for q, root in ((q0, False), (q0 ** 2, True), (q0 ** 4, True)):
+            def formula(e):
+                return math.sqrt(float(1 - q ** e)) if root else float(q ** e)
+
+            table = rep_mod._power_table(q, count, root)
+            limit = 1.0 if root else 0.0
+            cut = table.index(limit, 1) if limit in table[1:] else count
+            exponents = {*range(200), *range(0, count, 20), cut - 1, *range(cut, min(cut + 50, count))}
+            assert len(table) == count
+            assert [table[e] for e in sorted(exponents)] == [formula(e) for e in sorted(exponents)], (q, root)
+            assert formula(cut - 1) != limit and all(v == limit for v in table[cut:])
+
+    def test_spectrum_at_the_size_limit_is_linear_in_K(self):
+        c = cfg(n=1, K=rep_mod.MAX_DIM - 1)
+        start = time.perf_counter()
+        values = yn1_spectrum(c)
+        assert time.perf_counter() - start < 10.0
+        assert len(values) == rep_mod.MAX_DIM and values[:3] == [1.0, 0.25, 0.0625] and values[-1] == 0.0
 
     @pytest.mark.parametrize("power", [1, -1])
     def test_matches_matrix_diagonal_exactly(self, power, monkeypatch):

@@ -10,10 +10,12 @@ import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qsphere.algebra as algebra_mod
 import qsphere.rep as rep_mod
 import qsphere.verify as verify_mod
 from qsphere.algebra import (
@@ -48,12 +50,9 @@ from qsphere.verify import (
     check_lowest_weight_basis,
     check_relations_in_rep,
     check_symbolic_relations,
-    lemma_aux_identity,
-    lemma_main_identities,
     rep_params,
     run_suite,
     sample_relations_in_rep,
-    sampled_config,
 )
 
 HALF = Fraction(1, 2)
@@ -70,9 +69,21 @@ def _with_rule(p, lhs, edit):
     return Presentation(p.kind, p.n, p.sphere_reduction, p.generators, rules, p.eliminated)
 
 
-def _coded(e, code):
-    """The terms of an element as {letters: coefficient}, each letter code(generator)."""
-    return {tuple(map(code, w.letters)): c for w, c in e.terms()}
+def _coded(e, p):
+    """The terms of an element as {ranks: coefficient}, each letter coded by its rank in p."""
+    return {p.ranks(w): c for w, c in e.terms()}
+
+
+def lemma_aux_identity(n, i, m):
+    """The power identity I_m at i, decoded from the statement that check_lemma_aux reads."""
+    p = presentation_Sigma(n)
+    return p.element(verify_mod._lemma_aux_terms(p, i, m))
+
+
+def lemma_main_identities(n, k):
+    """The main-lemma identities at k, decoded from the statements that check_lemma_main reads."""
+    p = presentation_Sigma(n)
+    return {name: p.element(terms) for name, terms in verify_mod._lemma_main_terms(p, k).items()}
 
 
 class TestSymbolicRelations:
@@ -85,6 +96,20 @@ class TestSymbolicRelations:
         report = check_symbolic_relations(p)
         assert report.passed, report.witnesses[:2]
         assert report.max_residual == 0.0
+
+    @pytest.mark.parametrize("kind,n,sphere", [("Sigma", 3, True), ("Sigma", 3, False), ("S", 2, True)])
+    def test_reads_the_fuel_variable_once(self, kind, n, sphere, monkeypatch):
+        p = presentation_S(n, sphere) if kind == "S" else presentation_Sigma(n, sphere)
+        reads = []
+
+        class Environ(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(algebra_mod, "os", SimpleNamespace(environ=Environ(QSPHERE_FUEL="100000")))
+        assert check_symbolic_relations(p).passed
+        assert reads == ["QSPHERE_FUEL"]
 
     def test_report_json_shape(self):
         report = check_symbolic_relations(presentation_Sigma(1))
@@ -294,9 +319,9 @@ class TestConfluence:
         assert {"premise": "greedy split", "middle": "x2"} in report.witnesses
 
     def test_run_suite_includes_confluence(self):
-        reports = run_suite("confluence", presentation_S(1), None)
+        reports = run_suite("confluence", "S", 1)
         assert [r.name for r in reports] == ["confluence"]
-        assert "confluence" in [r.name for r in run_suite("all", presentation_S(1), None)]
+        assert "confluence" in [r.name for r in run_suite("all", "S", 1)]
 
 
 class TestLemmaAux:
@@ -364,7 +389,7 @@ def _turn_knobs(monkeypatch, **knobs):
     """Make the identity description that check_lemma_aux reads
     _power_identity with the knobs turned, coded letter by letter."""
     monkeypatch.setattr(verify_mod, "_lemma_aux_terms",
-                        lambda n, i, m, code: _coded(_power_identity(n, i, m, **knobs), code))
+                        lambda p, i, m: _coded(_power_identity(p.n, i, m, **knobs), p))
 
 
 def _power_identity(n, i, m, step=None, tail=True, tail_m=None):
@@ -435,9 +460,8 @@ class TestLemmaMain:
 
     def test_n2_k1_complex_lambda(self):
         # the proof reads no representation: a configuration, any lambda, changes no report
-        p = presentation_Sigma(2)
-        reports = run_suite("lemma-main", p, rep_params(2, Fraction(3, 5), 1j, 5, "numeric"))
-        assert [r.to_json() for r in reports] == [r.to_json() for r in run_suite("lemma-main", p, None)]
+        reports = run_suite("lemma-main", "Sigma", 2, params=rep_params(2, Fraction(3, 5), 1j, 5, "numeric"))
+        assert [r.to_json() for r in reports] == [r.to_json() for r in run_suite("lemma-main", "Sigma", 2)]
         assert [(r.params["k"], r.passed) for r in reports] == [(1, True), (2, True)]
 
     def test_n2_k2_uses_q4(self):
@@ -480,9 +504,9 @@ class TestLemmaMain:
         for module in (rep_mod, verify_mod):
             monkeypatch.setattr(module, "generic_image", refuse)
         monkeypatch.setattr(rep_mod, "generator_shift", refuse)
-        for p in (presentation_Sigma(n), presentation_Sigma(n, False)):
+        for sphere in (True, False):
             for params in (None, rep_params(n, HALF, 1, 0, "numeric")):
-                reports = run_suite("lemma-main", p, params)
+                reports = run_suite("lemma-main", "Sigma", n, sphere, params)
                 assert [r.params["k"] for r in reports] == list(range(1, n + 1))
                 assert all(r.passed and r.params["sphere"] for r in reports)
 
@@ -492,10 +516,10 @@ def _restated(monkeypatch, name, extra):
     the single identity description."""
     real = verify_mod._lemma_main_terms
 
-    def restated(n, k, code):
-        identities = real(n, k, code)
-        edited = Element({Word(w): c for w, c in real(n, k, lambda g: g)[name].items()}) + extra(n, k)
-        return {**identities, name: _coded(edited, code)}
+    def restated(p, k):
+        identities = real(p, k)
+        edited = p.element(identities[name]) + extra(p.n, k)
+        return {**identities, name: _coded(edited, p)}
 
     monkeypatch.setattr(verify_mod, "_lemma_main_terms", restated)
 
@@ -595,7 +619,7 @@ class TestLowestWeightBasis:
 
         monkeypatch.setattr(verify_mod, "qpochhammer", refuse)
         start = time.perf_counter()
-        [report] = run_suite("basis", presentation_Sigma(1), rep_params(1, Fraction(3, 5), 1, 100, "numeric"))
+        [report] = run_suite("basis", "Sigma", 1, params=rep_params(1, Fraction(3, 5), 1, 100, "numeric"))
         assert report.passed
         assert time.perf_counter() - start < 5.0
 
@@ -615,7 +639,7 @@ class TestRelationsInRep:
             assert report.params == {"n": n}
 
     def test_exact_mode_gives_literal_zero(self):
-        [_, report] = run_suite("relations", presentation_Sigma(1), rep_params(1, HALF, 1, 5, "exact"))
+        [_, report] = run_suite("relations", "Sigma", 1, params=rep_params(1, HALF, 1, 5, "exact"))
         assert report.passed
         assert report.max_residual == 0.0
 
@@ -639,12 +663,17 @@ class TestRepParams:
         assert str(params["lambda"]) == "[0.0, -1.0]"  # no -0.0 part
 
     @pytest.mark.parametrize("lam", UNIT_LAMBDAS)
-    def test_sampled_config_round_trips(self, lam):
+    def test_sampler_reads_the_truncation_of_the_params(self, lam, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(verify_mod, "sample_relations_in_rep", lambda c: sampled.append(c) or
+                            CheckReport("relations_in_rep", {}, tolerance=0.0))
         for n, K, q0 in ((1, 0, HALF), (2, 5, Fraction(3, 5)), (3, 2, Fraction(1, 3))):
-            assert sampled_config(rep_params(n, q0, lam, K, "numeric")) == cfg(n, q0, lam, K)
+            sampled.clear()
+            run_suite("relations", "Sigma", n, params=rep_params(n, q0, lam, K, "numeric"))
+            assert sampled == [cfg(n, q0, lam, K)]
 
     def test_no_params_prove_the_relations(self):
-        reports = run_suite("relations", presentation_Sigma(2))
+        reports = run_suite("relations", "Sigma", 2)
         assert [(r.name, r.params, r.tolerance) for r in reports] == [
             ("symbolic_relations", {"kind": "Sigma", "n": 2, "sphere": True}, 0.0),
             ("relations_in_rep", {"n": 2}, 0.0)]
@@ -652,22 +681,24 @@ class TestRepParams:
 
 class TestSuite:
     def test_all_suite_sigma(self):
-        reports = run_suite("all", presentation_Sigma(1), rep_params(1, HALF, 1, 4, "numeric"), m_max=2)
-        assert len(reports) >= 5
+        reports = run_suite("all", "Sigma", 1, params=rep_params(1, HALF, 1, 4, "numeric"))
+        assert [r.name for r in reports] == ["symbolic_relations", "relations_in_rep", "lemma_aux", "lemma_main",
+                                             "kernel_structure", "lowest_weight_basis", "confluence"]
         assert all(r.passed for r in reports), [str(r) for r in reports if not r.passed]
+        assert reports[2].params["m_max"] == 5
 
     def test_relations_only_for_s(self):
-        reports = run_suite("relations", presentation_S(2), None)
+        reports = run_suite("relations", "S", 2)
         assert len(reports) == 1 and reports[0].passed
 
     def test_unknown_suite(self):
         with pytest.raises(DomainError):
-            run_suite("bogus", presentation_Sigma(1), None)
+            run_suite("bogus", "Sigma", 1)
 
     @pytest.mark.parametrize("suite", ["kernel", "basis", "lemma-aux", "lemma-main"])
     def test_named_suite_needs_sigma(self, suite):
         with pytest.raises(DomainError, match=f"^suite '{suite}' needs the Sigma algebra$"):
-            run_suite(suite, presentation_S(1), rep_params(1, HALF, 1, 4, "numeric"))
+            run_suite(suite, "S", 1, params=rep_params(1, HALF, 1, 4, "numeric"))
 
 
 # -- the singular-value paths, kept as references for the counting checks -------
@@ -1060,7 +1091,7 @@ class TestGenericProof:
         # lemma-main reads no representation: relations_in_rep refutes every mutation
         mutate(name)
         for n in (1, 2, 3):
-            reports = run_suite("all", presentation_Sigma(n), rep_params(n, HALF, UNIT_LAMBDAS[2], 4, mode))
+            reports = run_suite("all", "Sigma", n, params=rep_params(n, HALF, UNIT_LAMBDAS[2], 4, mode))
             failed = {r.name for r in reports if not r.passed}
             assert "relations_in_rep" in failed and "lemma_main" not in failed, n
 
@@ -1194,7 +1225,7 @@ class TestTableLimit:
 
     def test_exact_relations_take_any_cutoff(self):
         for K in (0, 1, 10, 12, 1000):
-            [_, report] = run_suite("relations", presentation_Sigma(6), rep_params(6, HALF, 1j, K, "exact"))
+            [_, report] = run_suite("relations", "Sigma", 6, params=rep_params(6, HALF, 1j, K, "exact"))
             assert report.passed and report.witnesses == [] and report.params["K"] == K
 
     def test_numeric_configuration_is_refused(self):
@@ -1212,7 +1243,7 @@ class TestTableLimit:
             monkeypatch.setattr(module, "RepConfig", refuse)
         monkeypatch.setattr(rep_mod, "shift_table", refuse)
         for K in (10, 1000):
-            reports = run_suite(suite, presentation_Sigma(6), rep_params(6, HALF, 1j, K, mode))
+            reports = run_suite(suite, "Sigma", 6, params=rep_params(6, HALF, 1j, K, mode))
             assert len(reports) == (6 if suite == "lemma-main" else 1)
             # lemma-main reads no representation, so its reports carry no K
             assert all(r.passed and r.witnesses == [] and r.params.get("K", K) == K for r in reports)
@@ -1253,9 +1284,9 @@ class TestStatementCaches:
     def test_a_second_call_repeats_the_work(self, n, monkeypatch):
         normalized, ranked, imaged = [], [], []
 
-        def counted_normalize(e, p):
+        def counted_normalize(e, p, fuel=None):
             normalized.append(e)
-            return normalize(e, p)
+            return normalize(e, p, fuel)
 
         def counted_ranks(terms, p, fuel):
             ranked.append(terms)
@@ -1268,7 +1299,7 @@ class TestStatementCaches:
         monkeypatch.setattr(verify_mod, "normalize", counted_normalize)
         monkeypatch.setattr(verify_mod, "normalize_ranks", counted_ranks)
         monkeypatch.setattr(verify_mod, "generic_image", counted_image)
-        code = presentation_Sigma(n).rank.__getitem__
+        p = presentation_Sigma(n)
         raw = [rel for name, rel in relations_S(n) if not name.startswith("sphere")]
         checks = [
             (lambda: check_symbolic_relations(presentation_Sigma(n)), normalized,
@@ -1276,9 +1307,9 @@ class TestStatementCaches:
             (lambda: check_symbolic_relations(presentation_S(n, False)), normalized, raw),
             (lambda: check_relations_in_rep(n).witnesses, imaged, [rel for _, rel in relations_Sigma(n)]),
             (lambda: check_lemma_aux(presentation_Sigma(n), 5), ranked,
-             [_coded(lemma_aux_identity(n, i, m), code) for i in range(1, n + 1) for m in (1, 2)]),
-            (lambda: run_suite("lemma-main", presentation_Sigma(n), None), ranked,
-             [_coded(e, code) for k in range(1, n + 1) for e in lemma_main_identities(n, k).values()]),
+             [verify_mod._lemma_aux_terms(p, i, m) for i in range(1, n + 1) for m in (1, 2)]),
+            (lambda: run_suite("lemma-main", "Sigma", n), ranked,
+             [terms for k in range(1, n + 1) for terms in verify_mod._lemma_main_terms(p, k).values()]),
         ]
         for check, calls, work in checks:
             results = []
