@@ -104,22 +104,23 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}, got {tok.text!r}", tok.span)
         return tok
 
+    def accept_op(self, ops: str) -> _Token | None:
+        """Consume and return the next token if it is one of the operators in ops."""
+        tok = self.peek()
+        if tok is None or tok.kind != "op" or tok.text not in ops:
+            return None
+        self.i += 1
+        return tok
+
     # -- grammar ----------------------------------------------------------
 
     def parse_expr(self) -> Element:
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
-            self.next()
-            sign = -1
+        sign = -1 if self.accept_op("-") else 1
         result = self.parse_term() * sign
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "op" or tok.text not in "+-":
-                return result
-            self.next()
+        while tok := self.accept_op("+-"):
             term = self.parse_term()
             result = result + term if tok.text == "+" else result - term
+        return result
 
     def _starts_factor(self, tok: _Token | None) -> bool:
         if tok is None:
@@ -128,38 +129,26 @@ class _Parser:
 
     def parse_term(self) -> Element:
         result = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text == "*":
-                self.next()
-                result = result * self.parse_factor()
-            elif self._starts_factor(tok):
-                result = result * self.parse_factor()
-            else:
-                return result
+        while self.accept_op("*") or self._starts_factor(self.peek()):
+            result = result * self.parse_factor()
+        return result
 
     def parse_factor(self) -> Element:
         result = self.parse_primary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text == "'":
-                self.next()
-                result = result.star()
-            else:
-                return result
+        while self.accept_op("'"):
+            result = result.star()
+        return result
 
     def parse_primary(self) -> Element:
         tok = self.next()
         if tok.kind == "num":
-            if "/" in tok.text and not int(tok.text.split("/")[1]):
-                raise ExprSyntaxError(f"zero denominator in {tok.text}", tok.span)
-            return Element.one() * LaurentPoly.const(Fraction(tok.text))
+            try:
+                value = Fraction(tok.text)
+            except ZeroDivisionError:
+                raise ExprSyntaxError(f"zero denominator in {tok.text}", tok.span) from None
+            return Element.one() * LaurentPoly.const(value)
         if tok.kind == "q":
-            exp = 1
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "op" and nxt.text == "^":
-                self.next()
-                exp = self._parse_signed_int()
+            exp = self._parse_signed_int() if self.accept_op("^") else 1
             return Element.one() * LaurentPoly.q(exp)
         if tok.kind == "gen":
             return Element.of(self._resolve_generator(tok))
@@ -174,14 +163,11 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.span)
 
     def _parse_signed_int(self) -> int:
-        sign = 1
+        sign = self.accept_op("+-")
         tok = self.next()
-        if tok.kind == "op" and tok.text in "+-":
-            sign = -1 if tok.text == "-" else 1
-            tok = self.next()
         if tok.kind != "num" or "/" in tok.text:
             raise ExprSyntaxError("expected integer exponent", tok.span)
-        return sign * int(tok.text)
+        return (-1 if sign and sign.text == "-" else 1) * int(tok.text)
 
     def _resolve_generator(self, tok: _Token) -> Generator:
         family, index = tok.text[0], int(tok.text[1:])

@@ -538,7 +538,7 @@ _PROOFS = {"relations": check_relations_in_rep, "kernel": check_kernel_structure
 def run_suite(suite: str, kind: str, n: int, sphere: bool = True,
               params: dict | None = None) -> list[CheckReport]:
     """The reports of one named suite (or all applicable ones) on kind "S" or
-    "Sigma" at rank n.  Only here is it decided what a suite reads: relations
+    "Sigma" (any other kind is refused) at rank n.  Only here is it decided what a suite reads: relations
     and confluence the presentation at sphere, the lemma suites the sphere-on
     Sigma one (lemma-aux at m_max = 5), kernel and basis n alone; all but
     relations and confluence need Sigma.  The representation reports carry
@@ -547,6 +547,8 @@ def run_suite(suite: str, kind: str, n: int, sphere: bool = True,
     or no params (the reports then carry n alone), proves them."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if kind not in ("S", "Sigma"):
+        raise DomainError(f"unknown algebra {kind!r}; choose from S, Sigma")
     wants = SUITES[1:] if suite == "all" else (suite,)
     numeric = kind == "Sigma" and "relations" in wants and params and params["mode"] == "numeric"
     sampled = RepConfig(n, Fraction(params["q0"]), complex(*params["lambda"]), params["K"]) if numeric else None

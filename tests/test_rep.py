@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import time
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -305,11 +304,8 @@ class TestSpectrum:
             assert [table[e] for e in sorted(exponents)] == [formula(e) for e in sorted(exponents)], (q, root)
             assert formula(cut - 1) != limit and all(v == limit for v in table[cut:])
 
-    def test_spectrum_at_the_size_limit_is_linear_in_K(self):
-        c = cfg(n=1, K=rep_mod.MAX_DIM - 1)
-        start = time.perf_counter()
-        values = yn1_spectrum(c)
-        assert time.perf_counter() - start < 10.0
+    def test_spectrum_at_the_size_limit(self):
+        values = yn1_spectrum(cfg(n=1, K=rep_mod.MAX_DIM - 1))
         assert len(values) == rep_mod.MAX_DIM and values[:3] == [1.0, 0.25, 0.0625] and values[-1] == 0.0
 
     @pytest.mark.parametrize("power", [1, -1])

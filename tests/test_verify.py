@@ -695,6 +695,13 @@ class TestSuite:
         with pytest.raises(DomainError):
             run_suite("bogus", "Sigma", 1)
 
+    @pytest.mark.parametrize("suite,kind", [("all", "sigma"), ("relations", "s"), ("kernel", "")])
+    def test_unknown_algebra(self, suite, kind):
+        # only the exact spellings S and Sigma are algebras; the CLI's lower-case
+        # choices are mapped before run_suite is called
+        with pytest.raises(DomainError, match=f"^unknown algebra {kind!r}; choose from S, Sigma$"):
+            run_suite(suite, kind, 1)
+
     @pytest.mark.parametrize("suite", ["kernel", "basis", "lemma-aux", "lemma-main"])
     def test_named_suite_needs_sigma(self, suite):
         with pytest.raises(DomainError, match=f"^suite '{suite}' needs the Sigma algebra$"):
